@@ -36,18 +36,18 @@ from .corpus import (
     save_dataset,
 )
 from .errors import ParameterError, ReqqualError, TrainingError
-from .evaluation import classify, class_of, cross_validate, evaluate_model, save_predictions
-from .nn import CellType, ModelConfig, RunMode, forward
+from .evaluation import classify, cross_validate, encode_labeled, evaluate_model, save_predictions
+from .nn import CellType, ModelConfig, forward_batch
 from .search import Candidate, SearchSpace, preset_candidate, run_search
 from .textpipe import (
     EncodeStats,
-    RulesTagger,
     TaggerMode,
     TagVocabulary,
     build_vocabulary,
     encode,
     encode_text,
     tag_text,
+    tagger_for,
 )
 from .train import fit, gradient_check
 
@@ -74,7 +74,6 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--batch-size", type=int, default=32)
     group.add_argument("--clip-norm", type=float, default=5.0,
                        help="global gradient-norm cap (0 disables clipping)")
-    group.add_argument("--execution", choices=["batched", "loop"], default="batched")
 
 
 def _resolve_candidate(args: argparse.Namespace, prop: PropertyName) -> Candidate:
@@ -94,30 +93,13 @@ def _clip_norm(args: argparse.Namespace) -> float | None:
     return None if args.clip_norm == 0 else args.clip_norm
 
 
-def _tagger_for(mode: TaggerMode) -> RulesTagger | None:
-    return RulesTagger() if mode is TaggerMode.RULES else None
-
-
-def _encode_labeled(dataset, prop, mode):
-    """(vocabulary, {id: (encoded, class)}) over the labeled subset."""
-    tagger = _tagger_for(mode)
-    labeled = dataset.labeled(prop)
-    tagged = {req.id: tag_text(req.text, mode, tagger) for req in labeled}
-    vocab = build_vocabulary(tagged.values())
-    encoded = {
-        req.id: (encode(tagged[req.id], vocab), class_of(req.labels[prop]))
-        for req in labeled
-    }
-    return vocab, encoded
-
-
 # ------------------------------------------------------------------ commands
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.input)
     mode = TaggerMode(args.tagger)
-    tagger = _tagger_for(mode)
+    tagger = tagger_for(mode)
     tagged = [(req.id, tag_text(req.text, mode, tagger)) for req in dataset.requirements]
 
     if args.vocab_in:
@@ -175,7 +157,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     prop = PropertyName(args.property)
     dataset = load_dataset(args.input)
     mode = TaggerMode(args.tagger)
-    vocab, encoded = _encode_labeled(dataset, prop, mode)
+    vocab, encoded = encode_labeled(dataset, prop, mode)
     if not encoded:
         raise ParameterError(f"no requirements labeled for {prop.value!r} in {args.input}")
 
@@ -191,8 +173,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         validation = [encoded[r.id] for r in val_ds.requirements]
 
     params, curve = fit(
-        [encoded[r.id] for r in train_reqs], model_cfg, train_cfg,
-        validation=validation, execution=args.execution,
+        [encoded[r.id] for r in train_reqs], model_cfg, train_cfg, validation=validation
     )
     artifact = ModelArtifact(
         property=prop,
@@ -249,8 +230,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         dataset, prop,
         candidate.model_config(vocab_size=3),
         candidate.train_config(args.seed, args.batch_size, _clip_norm(args)),
-        k=args.folds, seed=args.seed, tagger_mode=mode,
-        execution=args.execution, keep_curves=True,
+        k=args.folds, seed=args.seed, tagger_mode=mode, keep_curves=True,
     )
     report_path = Path(args.report)
     result.save_json(report_path)
@@ -274,7 +254,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         dataset, prop, space,
         mode=args.mode, budget=args.budget, eval_mode=args.eval_mode,
         objective=args.objective, seed=args.seed, batch_size=args.batch_size,
-        clip_norm=_clip_norm(args), tagger_mode=mode, execution=args.execution,
+        clip_norm=_clip_norm(args), tagger_mode=mode,
     )
     report.save_trials_csv(args.trials_out)
     print(f"{prop.value}: {report.summary()} -> {args.trials_out}")
@@ -285,7 +265,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     artifact = load_model(args.model)
     if args.text is not None:
         sequence = encode_text(args.text, artifact.vocabulary, artifact.tagger_mode)
-        probs, _ = forward(sequence, artifact.params, RunMode.INFER)
+        (probs,), _ = forward_batch([sequence], artifact.params)
         verdict = "satisfied" if classify(probs) == 0 else "violated"
         print(f"{artifact.property.value}: {verdict} (prob_positive {float(probs[0]):.4f})")
         return 0
@@ -391,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--clip-norm", type=float, default=5.0)
-    p.add_argument("--execution", choices=["batched", "loop"], default="batched")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("predict", help="classify requirements with a saved model")

@@ -92,12 +92,6 @@ class Dataset:
         prop = PropertyName(prop)
         return [r for r in self.requirements if prop in r.labels]
 
-    def by_id(self, req_id: str) -> Requirement:
-        for r in self.requirements:
-            if r.id == req_id:
-                return r
-        raise KeyError(req_id)
-
 
 _RECORD_KEYS = {"id", "text", "labels", "source"}
 

@@ -23,14 +23,9 @@ import numpy as np
 from .artifact import ModelArtifact
 from .corpus import Dataset, FoldPlan, PropertyName, holdout_split, make_folds
 from .errors import ParameterError, StructuralError
-from .nn import ModelConfig, forward_batch
-from .textpipe import RulesTagger, TaggerMode, build_vocabulary, encode, tag_text
+from .nn import ModelConfig, classify, forward_batch
+from .textpipe import TaggerMode, build_vocabulary, encode, tag_text, tagger_for
 from .train import LossCurve, TrainConfig, fit
-
-
-def classify(probs) -> int:
-    """Argmax over the two class probabilities; an exact tie goes to class 0."""
-    return 0 if float(probs[0]) >= float(probs[1]) else 1
 
 
 def class_of(label: bool) -> int:
@@ -202,13 +197,18 @@ class CvResult:
         )
 
 
-def _prepare_encoded(requirements, prop, mode, tagger):
-    """Tag every labeled requirement, build the vocabulary, encode everything."""
-    tagged = {req.id: tag_text(req.text, mode, tagger) for req in requirements}
+def encode_labeled(dataset: Dataset, prop: PropertyName, mode: TaggerMode):
+    """Tag the subset labeled for `prop`, build its vocabulary, encode it.
+
+    Returns (vocabulary, {id: (encoded sequence, class)}).
+    """
+    tagger = tagger_for(mode)
+    labeled = dataset.labeled(prop)
+    tagged = {req.id: tag_text(req.text, mode, tagger) for req in labeled}
     vocab = build_vocabulary(tagged.values())
     encoded = {
         req.id: (encode(tagged[req.id], vocab), class_of(req.labels[prop]))
-        for req in requirements
+        for req in labeled
     }
     return vocab, encoded
 
@@ -221,7 +221,6 @@ def cross_validate(
     k: int,
     seed: int,
     tagger_mode: TaggerMode = TaggerMode.RULES,
-    execution: str = "batched",
     keep_curves: bool = False,
 ) -> CvResult:
     """k-fold cross-validation of one property's classifier.
@@ -233,8 +232,7 @@ def cross_validate(
     """
     prop = PropertyName(prop)
     plan = make_folds(dataset, prop, k, seed)
-    tagger = RulesTagger() if TaggerMode(tagger_mode) is TaggerMode.RULES else None
-    vocab, encoded = _prepare_encoded(dataset.labeled(prop), prop, tagger_mode, tagger)
+    vocab, encoded = encode_labeled(dataset, prop, tagger_mode)
     config = dataclasses.replace(model_config, vocab_size=vocab.size)
 
     all_ids = set(plan.assignments)
@@ -246,9 +244,7 @@ def cross_validate(
         if set(test_ids) & set(train_ids) or set(test_ids) | set(train_ids) != all_ids:
             raise StructuralError(f"fold {i} does not partition the labeled subset")
         fold_cfg = dataclasses.replace(train_config, seed=seed ^ i)
-        params, curve = fit(
-            [encoded[rid] for rid in train_ids], config, fold_cfg, execution=execution
-        )
+        params, curve = fit([encoded[rid] for rid in train_ids], config, fold_cfg)
         probs, _ = forward_batch([encoded[rid][0] for rid in test_ids], params)
         predictions = [classify(row) for row in probs]
         labels = [encoded[rid][1] for rid in test_ids]
@@ -294,7 +290,6 @@ def holdout_evaluate(
     train_fraction: float,
     seed: int,
     tagger_mode: TaggerMode = TaggerMode.RULES,
-    execution: str = "batched",
 ) -> HoldoutResult:
     """Single train/test split evaluation with the same pipeline as CV.
 
@@ -305,13 +300,10 @@ def holdout_evaluate(
     """
     prop = PropertyName(prop)
     train_ds, test_ds = holdout_split(dataset, prop, train_fraction, seed)
-    tagger = RulesTagger() if TaggerMode(tagger_mode) is TaggerMode.RULES else None
-    vocab, encoded = _prepare_encoded(dataset.labeled(prop), prop, tagger_mode, tagger)
+    vocab, encoded = encode_labeled(dataset, prop, tagger_mode)
     config = dataclasses.replace(model_config, vocab_size=vocab.size)
     fit_cfg = dataclasses.replace(train_config, seed=seed)
-    params, curve = fit(
-        [encoded[r.id] for r in train_ds.requirements], config, fit_cfg, execution=execution
-    )
+    params, curve = fit([encoded[r.id] for r in train_ds.requirements], config, fit_cfg)
     test_pairs = [encoded[r.id] for r in test_ds.requirements]
     probs, _ = forward_batch([seq for seq, _ in test_pairs], params)
     predictions = [classify(row) for row in probs]
@@ -350,7 +342,7 @@ def evaluate_model(
         )
     if len(dataset) == 0:
         raise ParameterError("cannot evaluate on an empty dataset")
-    tagger = RulesTagger() if artifact.tagger_mode is TaggerMode.RULES else None
+    tagger = tagger_for(artifact.tagger_mode)
     sequences = [
         encode(tag_text(req.text, artifact.tagger_mode, tagger), artifact.vocabulary)
         for req in dataset.requirements

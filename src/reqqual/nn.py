@@ -24,9 +24,10 @@ Classification reads the final hidden state h_T, applies inverted
 dropout (train mode only), then a dense layer and softmax over the two
 classes.  Class 0 means "property satisfied".
 
-Two execution paths produce identical results within 1e-10: a
-per-sequence loop (the readable reference) and a padded batch path that
-right-pads with PAD=0 and freezes finished rows via masking.
+Training and inference run the padded batch path, which right-pads with
+PAD=0 and freezes finished rows via masking.  The per-sequence path is
+the readable reference: the tests and gradient checks hold the batch
+path to it within 1e-10.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .numcore import Rng, concat, glorot_uniform, hadamard, matvec, sigmoid, softmax, tanh
+from .numcore import Rng, glorot_uniform, sigmoid, softmax, tanh
 from .textpipe import EncodedSequence
 
 NUM_CLASSES = 2
@@ -155,8 +156,10 @@ class ParameterSet:
         prefix = f"layer{k}."
         return {n[len(prefix):]: a for n, a in self.arrays.items() if n.startswith(prefix)}
 
-    def copy(self) -> "ParameterSet":
-        return ParameterSet(self.config, {n: a.copy() for n, a in self.arrays.items()})
+
+def classify(probs) -> int:
+    """Argmax over the two class probabilities; an exact tie goes to class 0."""
+    return 0 if float(probs[0]) >= float(probs[1]) else 1
 
 
 def zero_gradients(config: ModelConfig) -> dict[str, np.ndarray]:
@@ -201,22 +204,22 @@ class GruStepCache(NamedTuple):
 def _lstm_step(x_t, state: CellState, layer: Mapping[str, np.ndarray]):
     if state.c is None:
         raise StructuralError("LSTM step needs a memory cell state")
-    xcat = concat(state.h, x_t)
-    f = sigmoid(matvec(layer["wf"], xcat) + layer["bf"])
-    i = sigmoid(matvec(layer["wi"], xcat) + layer["bi"])
-    o = sigmoid(matvec(layer["wo"], xcat) + layer["bo"])
-    g = tanh(matvec(layer["wc"], xcat) + layer["bc"])
-    c = hadamard(f, state.c) + hadamard(i, g)
+    xcat = np.concatenate([state.h, x_t])
+    f = sigmoid(layer["wf"] @ xcat + layer["bf"])
+    i = sigmoid(layer["wi"] @ xcat + layer["bi"])
+    o = sigmoid(layer["wo"] @ xcat + layer["bo"])
+    g = tanh(layer["wc"] @ xcat + layer["bc"])
+    c = f * state.c + i * g
     tc = tanh(c)
-    h = hadamard(o, tc)
+    h = o * tc
     return CellState(h=h, c=c), LstmStepCache(xcat, f, i, o, g, state.c, c, tc)
 
 
 def _gru_step(x_t, h_prev, layer: Mapping[str, np.ndarray]):
-    z = sigmoid(matvec(layer["uz"], x_t) + matvec(layer["wz"], h_prev))
-    r = sigmoid(matvec(layer["ur"], x_t) + matvec(layer["wr"], h_prev))
-    q = hadamard(h_prev, r)
-    s = tanh(matvec(layer["us"], x_t) + matvec(layer["ws"], q))
+    z = sigmoid(layer["uz"] @ x_t + layer["wz"] @ h_prev)
+    r = sigmoid(layer["ur"] @ x_t + layer["wr"] @ h_prev)
+    q = h_prev * r
+    s = tanh(layer["us"] @ x_t + layer["ws"] @ q)
     h = (1.0 - z) * s + z * h_prev
     return h, GruStepCache(np.asarray(x_t, dtype=np.float64), h_prev, z, r, q, s)
 
@@ -305,9 +308,9 @@ def forward(
         keep = 1.0 - config.dropout_p
         mask = (rng.uniform(size=config.hidden_units) >= config.dropout_p).astype(np.float64)
         dropout_scale = mask / keep
-        dropped = hadamard(h_final, dropout_scale)
+        dropped = h_final * dropout_scale
 
-    logits = matvec(params.arrays["head.w"], dropped) + params.arrays["head.b"]
+    logits = params.arrays["head.w"] @ dropped + params.arrays["head.b"]
     probs = softmax(logits)
     trace = ForwardTrace(
         ids=seq,
@@ -321,27 +324,6 @@ def forward(
         probs=probs,
     )
     return probs, trace
-
-
-def replay(trace: ForwardTrace, params: ParameterSet) -> np.ndarray:
-    """Recompute the recorded output from the trace's inputs, bit-exactly."""
-    config = params.config
-    xs = embed(trace.ids, params.arrays["embedding"])
-    for k in range(config.num_layers):
-        layer = params.layer(k)
-        state = CellState.zero(config)
-        outputs = []
-        for x_t in xs:
-            if config.cell is CellType.LSTM:
-                state, _ = _lstm_step(x_t, state, layer)
-            else:
-                h, _ = _gru_step(x_t, state.h, layer)
-                state = CellState(h=h)
-            outputs.append(state.h)
-        xs = outputs
-    h_final = xs[-1]
-    dropped = h_final if trace.dropout_scale is None else hadamard(h_final, trace.dropout_scale)
-    return softmax(matvec(params.arrays["head.w"], dropped) + params.arrays["head.b"])
 
 
 def _check_trace(trace: ForwardTrace, params: ParameterSet) -> None:
@@ -511,10 +493,11 @@ def forward_batch(
     mode = RunMode(mode)
     seqs = [_as_ids(s) for s in sequences]
     ids, mask = pad_batch(seqs)
-    if ids.max() >= config.vocab_size:
-        raise StructuralError(
-            f"id {ids.max()} outside embedding table with {config.vocab_size} rows"
-        )
+    for extreme in (ids.min(), ids.max()):
+        if not 0 <= extreme < config.vocab_size:
+            raise StructuralError(
+                f"id {extreme} outside embedding table with {config.vocab_size} rows"
+            )
     batch, t_max = ids.shape
     h_units = config.hidden_units
 

@@ -77,29 +77,6 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit shape check."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise StructuralError(
-            f"matvec shape mismatch: matrix {m.shape} x vector {v.shape}"
-        )
-    return m @ v
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two same-length vectors."""
-    if a.shape != b.shape:
-        raise StructuralError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate two vectors, first argument first."""
-    if a.ndim != 1 or b.ndim != 1:
-        raise StructuralError(f"concat expects vectors, got {a.shape} and {b.shape}")
-    return np.concatenate([a, b])
-
-
 def glorot_uniform(rows: int, cols: int, rng: Rng) -> np.ndarray:
     """Weight matrix with entries i.i.d. uniform on +-sqrt(6/(rows+cols))."""
     if rows < 1 or cols < 1:

@@ -334,7 +334,6 @@ def run_search(
     batch_size: int = 32,
     clip_norm: float | None = 5.0,
     tagger_mode: TaggerMode = TaggerMode.RULES,
-    execution: str = "batched",
     keep_results: bool = False,
 ) -> SearchReport:
     """Train and score candidates; pick the best by the objective metric.
@@ -382,13 +381,13 @@ def run_search(
         if kind == "cv":
             result = cross_validate(
                 dataset, prop, model_cfg, train_cfg, k=int(value), seed=trial_seed,
-                tagger_mode=tagger_mode, execution=execution,
+                tagger_mode=tagger_mode,
             )
             scores = dict(result.aggregate)
         else:
             result = holdout_evaluate(
                 dataset, prop, model_cfg, train_cfg, float(value), trial_seed,
-                tagger_mode=tagger_mode, execution=execution,
+                tagger_mode=tagger_mode,
             )
             scores = {name: getattr(result.metrics, name) for name in METRIC_NAMES}
         seconds = time.perf_counter() - started

@@ -78,46 +78,54 @@ _LONG_SUFFIXES = ("'ll", "'re", "'ve")
 _SHORT_SUFFIXES = ("'s", "'m", "'d")
 
 
-def _split_chunk(s: str) -> list[str]:
+def _split_once(s: str) -> list[tuple[str, bool]]:
+    """One splitting step: the parts of `s` in order, as (text, is_final_token)."""
     if not s:
         return []
     if len(s) == 1:
-        return [s]
+        return [(s, True)]
     low = s.lower()
     if low in _SPLIT_WORDS:
         cut = _SPLIT_WORDS[low]
-        return [s[:cut], s[cut:]]
+        return [(s[:cut], True), (s[cut:], True)]
     if s[0] in _OPENERS or (s[0] in "'\"`" and s[1].isalnum() and len(s) > 2):
-        return [s[0]] + _split_chunk(s[1:])
+        return [(s[0], True), (s[1:], False)]
     if s.endswith("..."):
-        return _split_chunk(s[:-3]) + ["..."]
+        return [(s[:-3], False), ("...", True)]
     if s[-1] in _TRAIL_ALWAYS:
-        return _split_chunk(s[:-1]) + [s[-1]]
+        return [(s[:-1], False), (s[-1], True)]
     if s.endswith(".") and "." not in s[:-1]:
-        return _split_chunk(s[:-1]) + ["."]
+        return [(s[:-1], False), (".", True)]
     for i, ch in enumerate(s):
-        if ch in "()[]{}":
-            return _split_chunk(s[:i]) + [ch] + _split_chunk(s[i + 1:])
-        if ch == ";":
-            return _split_chunk(s[:i]) + [ch] + _split_chunk(s[i + 1:])
-        if ch in ",:":
-            between_digits = (
-                i > 0 and s[i - 1].isdigit() and i + 1 < len(s) and s[i + 1].isdigit()
-            )
-            if not between_digits:
-                return _split_chunk(s[:i]) + [ch] + _split_chunk(s[i + 1:])
+        if ch in ",:" and 0 < i < len(s) - 1 and s[i - 1].isdigit() and s[i + 1].isdigit():
+            continue  # "1,000" and "12:30" stay one token
+        if ch in "()[]{};,:":
+            return [(s[:i], False), (ch, True), (s[i + 1:], False)]
     if "--" in s:
         i = s.index("--")
-        return _split_chunk(s[:i]) + ["--"] + _split_chunk(s[i + 2:])
+        return [(s[:i], False), ("--", True), (s[i + 2:], False)]
     if low.endswith("n't") and len(s) > 3:
-        return _split_chunk(s[:-3]) + [s[-3:]]
+        return [(s[:-3], False), (s[-3:], True)]
     for suffix in _LONG_SUFFIXES:
         if low.endswith(suffix) and len(s) > 3:
-            return _split_chunk(s[:-3]) + [s[-3:]]
+            return [(s[:-3], False), (s[-3:], True)]
     for suffix in _SHORT_SUFFIXES:
         if low.endswith(suffix) and len(s) > 2:
-            return _split_chunk(s[:-2]) + [s[-2:]]
-    return [s]
+            return [(s[:-2], False), (s[-2:], True)]
+    return [(s, True)]
+
+
+def _split_chunk(s: str) -> list[str]:
+    """Tokens of one whitespace-free chunk, split with an explicit work stack."""
+    tokens: list[str] = []
+    stack = [(s, False)]
+    while stack:
+        part, final = stack.pop()
+        if final:
+            tokens.append(part)
+        else:
+            stack.extend(reversed(_split_once(part)))
+    return tokens
 
 
 def tokenize(text: str) -> list[str]:
@@ -243,6 +251,11 @@ def parse_pretagged(text: str) -> list[Token]:
             raise ParameterError(f"pretagged token {item!r} is not of the form surface/TAG")
         tokens.append(Token(surface=surface, tag=tag))
     return tokens
+
+
+def tagger_for(mode: TaggerMode) -> RulesTagger | None:
+    """The tagger to reuse across `tag_text` calls under `mode` (None if it needs none)."""
+    return RulesTagger() if TaggerMode(mode) is TaggerMode.RULES else None
 
 
 def tag_text(text: str, mode: TaggerMode, tagger: RulesTagger | None = None) -> list[Token]:

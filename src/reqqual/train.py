@@ -4,11 +4,6 @@ Everything stochastic (initialization, epoch shuffling, dropout masks)
 draws from one seeded generator in a fixed order, so a fit is a pure
 function of (data, configs, seed) and two runs produce bit-identical
 parameters and loss curves.
-
-The default execution processes padded batches; `execution="loop"`
-selects the per-sequence reference path instead.  The two agree within
-1e-10 per batch (see the nn module) but are not bit-identical, so the
-execution mode is part of the reproducibility envelope.
 """
 
 from __future__ import annotations
@@ -17,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +24,7 @@ from .nn import (
     RunMode,
     backward,
     backward_batch,
+    classify,
     forward,
     forward_batch,
     zero_gradients,
@@ -160,12 +156,6 @@ class LossCurve:
 
 
 LabeledSequence = tuple[Sequence[int], int]
-Execution = Literal["batched", "loop"]
-
-
-def _predict(probs) -> int:
-    # argmax with exact ties resolved to class 0 (property satisfied)
-    return 0 if probs[0] >= probs[1] else 1
 
 
 def _validate_data(data, what: str) -> list[tuple[tuple[int, ...], int]]:
@@ -182,27 +172,6 @@ def _validate_data(data, what: str) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _batch_losses_and_grads(seqs, labels, params, rng, execution: Execution):
-    """Per-sequence losses plus summed gradients for one batch (train mode)."""
-    if execution == "batched":
-        probs, trace = forward_batch(seqs, params, mode=RunMode.TRAIN, rng=rng)
-        picked = probs[np.arange(len(seqs)), labels]
-        losses = -np.log(np.maximum(picked, PROB_FLOOR))
-        grads = backward_batch(trace, labels, params)
-        preds = [_predict(row) for row in probs]
-    else:
-        grads = zero_gradients(params.config)
-        losses = np.zeros(len(seqs))
-        preds = []
-        for j, (ids, y) in enumerate(zip(seqs, labels)):
-            probs, trace = forward(ids, params, mode=RunMode.TRAIN, rng=rng)
-            losses[j] = loss(probs, y)
-            preds.append(_predict(probs))
-            for name, g in backward(trace, y, params).items():
-                grads[name] += g
-    return losses, grads, preds
-
-
 def _mean_validation_loss(validation, params) -> float:
     probs, _ = forward_batch([ids for ids, _ in validation], params)
     labels = np.array([y for _, y in validation])
@@ -215,16 +184,13 @@ def fit(
     model_config: ModelConfig,
     train_config: TrainConfig,
     validation: Sequence[LabeledSequence] | None = None,
-    execution: Execution = "batched",
 ) -> tuple[ParameterSet, LossCurve]:
     """Train a fresh model; returns final parameters and the per-epoch curve.
 
     Consumes the seeded generator in a fixed order: parameter
     initialization, then per epoch one shuffle permutation, then one
-    dropout draw per batch (batched) or per sequence (loop).
+    dropout draw per batch.
     """
-    if execution not in ("batched", "loop"):
-        raise ParameterError(f"execution must be 'batched' or 'loop', got {execution!r}")
     data = _validate_data(train_data, "training")
     val = _validate_data(validation, "validation") if validation is not None else None
 
@@ -246,9 +212,11 @@ def fit(
             picks = order[b * train_config.batch_size : (b + 1) * train_config.batch_size]
             seqs = [data[i][0] for i in picks]
             labels = [data[i][1] for i in picks]
-            losses, grads, preds = _batch_losses_and_grads(
-                seqs, labels, params, rng, execution
-            )
+            probs, trace = forward_batch(seqs, params, mode=RunMode.TRAIN, rng=rng)
+            picked = probs[np.arange(len(seqs)), labels]
+            losses = -np.log(np.maximum(picked, PROB_FLOOR))
+            grads = backward_batch(trace, labels, params)
+            del trace  # free the per-step caches before the next batch builds its own
             if not np.isfinite(losses).all():
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {b + 1} of {batch_count}"
@@ -259,7 +227,7 @@ def fit(
                 clip_gradients(grads, train_config.clip_norm)
             adam_update(params, grads, state, train_config)
             loss_sum += float(losses.sum())
-            correct += sum(1 for p, y in zip(preds, labels) if p == y)
+            correct += sum(1 for row, y in zip(probs, labels) if classify(row) == y)
         val_loss = None if val is None else _mean_validation_loss(val, params)
         curve.append(
             EpochRecord(

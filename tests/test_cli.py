@@ -248,6 +248,32 @@ def test_predict_single_text(workdir, capsys):
     assert "prob_positive" in stdout
 
 
+def test_predict_text_matches_evaluate_records(workdir, tmp_path, capsys):
+    preds = tmp_path / "preds.jsonl"
+    code = main([
+        "evaluate", "--model", str(workdir.model), "--input", str(workdir.dataset),
+        "--out", str(preds),
+    ])
+    assert code == 0
+    texts = {r.id: r.text for r in load_dataset(workdir.dataset).requirements}
+    records = [json.loads(line) for line in preds.read_text("utf-8").splitlines()]
+    assert len(records) == len(texts)
+    capsys.readouterr()
+    for record in records:
+        code = main(["predict", "--model", str(workdir.model), "--text", texts[record["id"]]])
+        assert code == 0
+        verdict = "satisfied" if record["predicted"] else "violated"
+        assert capsys.readouterr().out == (
+            f"singular: {verdict} (prob_positive {record['prob_positive']:.4f})\n"
+        )
+
+
+def test_predict_text_deeply_nested_exits_0(workdir, capsys):
+    code = main(["predict", "--model", str(workdir.model), "--text", "(" * 5000])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("singular: ")
+
+
 def test_predict_file(workdir, tmp_path, capsys):
     out = tmp_path / "preds.jsonl"
     code = main([

@@ -215,13 +215,6 @@ def test_cross_validate_k_exceeding_data_rejected():
         cross_validate(cv_dataset(6), PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, k=10, seed=0)
 
 
-def test_cross_validate_loop_execution_smoke():
-    result = cross_validate(
-        cv_dataset(16), PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, k=2, seed=3, execution="loop"
-    )
-    assert len(result.folds) == 2
-
-
 def test_report_json_shape(tmp_path):
     result = cross_validate(cv_dataset(), PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, k=3, seed=5)
     report = result.to_json()

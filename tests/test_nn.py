@@ -28,7 +28,6 @@ from reqqual.nn import (
     lstm_step,
     pad_batch,
     parameter_manifest,
-    replay,
     zero_gradients,
 )
 
@@ -308,16 +307,20 @@ class TestForward:
         b, _ = forward([2, 3, 4], p2)
         assert not np.array_equal(a, b)
 
-    def test_replay_reproduces_probs_bit_exactly(self):
-        for cell in CellType:
-            _, params = build(cell, dropout=0.4, layers=2)
-            probs, trace = forward([2, 3, 4, 5], params, mode=RunMode.TRAIN, rng=Rng(11))
-            np.testing.assert_array_equal(replay(trace, params), probs)
-
     def test_empty_sequence_rejected(self):
         _, params = build(CellType.GRU)
         with pytest.raises(ParameterError):
             forward([], params)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize(
+        "run", [forward, lambda ids, params: forward_batch([ids], params)],
+        ids=["forward", "forward_batch"],
+    )
+    def test_id_outside_embedding_table_rejected(self, run, bad):
+        _, params = build(CellType.GRU, vocab=6)
+        with pytest.raises(StructuralError, match=f"id {bad} outside embedding table with 6 rows"):
+            run([bad, 2], params)
 
     def test_dropout_needs_rng(self):
         _, params = build(CellType.GRU, dropout=0.3)
@@ -427,7 +430,7 @@ class TestBackward:
         ids = [2, 4, 3]
         probs, trace = forward(ids, params, mode=RunMode.TRAIN, rng=Rng(8))
         grads = backward(trace, 0, params)
-        # finite differences replaying the same recorded mask
+        # finite differences under the same mask: a fresh Rng(8) draws it again
         numeric = {}
         for name in ("head.w", "layer0.us"):
             arr = params.arrays[name]
@@ -436,9 +439,9 @@ class TestBackward:
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + 1e-6
-                plus = replay(trace, params)
+                plus, _ = forward(ids, params, mode=RunMode.TRAIN, rng=Rng(8))
                 flat[j] = orig - 1e-6
-                minus = replay(trace, params)
+                minus, _ = forward(ids, params, mode=RunMode.TRAIN, rng=Rng(8))
                 flat[j] = orig
                 gflat[j] = (-math.log(plus[0]) + math.log(minus[0])) / 2e-6
             numeric[name] = grad

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from reqqual.errors import StructuralError
 from reqqual.numcore import (
     Rng,
-    concat,
     glorot_uniform,
-    hadamard,
-    matvec,
     require_finite,
     sigmoid,
     softmax,
@@ -80,32 +77,6 @@ class TestActivations:
 
 
 class TestShapes:
-    def test_matvec_identity(self):
-        v = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_array_equal(matvec(np.eye(3), v), v)
-
-    def test_matvec_frozen(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matvec(m, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_matvec_shape_mismatch_names_shapes(self):
-        with pytest.raises(StructuralError) as err:
-            matvec(np.ones((2, 3)), np.ones(4))
-        assert "(2, 3)" in str(err.value) and "4" in str(err.value)
-
-    def test_hadamard(self):
-        np.testing.assert_array_equal(
-            hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [3.0, 8.0]
-        )
-
-    def test_hadamard_shape_mismatch(self):
-        with pytest.raises(StructuralError):
-            hadamard(np.ones(2), np.ones(3))
-
-    def test_concat_order(self):
-        out = concat(np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]))
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0, 4.0, 5.0])
-
     def test_require_finite_rejects_nan(self):
         with pytest.raises(StructuralError) as err:
             require_finite(np.array([1.0, np.nan]), "weights")

@@ -105,6 +105,13 @@ class TestTokenize:
         text = "The system shall store records, logs) and... files."
         assert tokenize(text) == tokenize(text)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("(" * 5000, ["("] * 5000),
+        ("a," * 3000, ["a", ","] * 3000),
+    ], ids=["5000-openers", "3000-commas"])
+    def test_long_chunk_splits_without_recursion(self, text, expected):
+        assert tokenize(text) == expected
+
 
 class TestRulesTagger:
     def tag_one(self, word):

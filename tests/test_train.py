@@ -203,16 +203,6 @@ class TestFit:
         b = fit(data, gru_config(), TrainConfig(learning_rate=0.01, epochs=2, seed=2))[1]
         assert a != b
 
-    def test_loop_matches_batched_first_epoch(self):
-        data = toy_data(12)
-        cfg = TrainConfig(learning_rate=0.01, epochs=1, seed=7)
-        _, curve_batched = fit(data, gru_config(), cfg, execution="batched")
-        _, curve_loop = fit(data, gru_config(), cfg, execution="loop")
-        assert curve_batched.final().train_loss == pytest.approx(
-            curve_loop.final().train_loss, abs=1e-8
-        )
-        assert curve_batched.final().train_acc == curve_loop.final().train_acc
-
     def test_learns_toy_signal(self):
         data = toy_data()
         cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=3)
