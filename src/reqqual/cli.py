@@ -403,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ReqqualError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ReqqualError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ documented rules in :func:`derive_labels`:
 from __future__ import annotations
 
 import enum
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -138,19 +139,24 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"line {lineno}: not valid UTF-8 ({exc.reason})") from None
     requirements: list[Requirement] = []
     seen: dict[str, int] = {}
-    with path.open(encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            req = _parse_record(raw, lineno)
-            if req.id in seen:
-                raise DatasetError(
-                    f"duplicate id {req.id!r} at lines {seen[req.id]} and {lineno}"
-                )
-            seen[req.id] = lineno
-            requirements.append(req)
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        if not raw.strip():
+            continue
+        req = _parse_record(raw, lineno)
+        if req.id in seen:
+            raise DatasetError(
+                f"duplicate id {req.id!r} at lines {seen[req.id]} and {lineno}"
+            )
+        seen[req.id] = lineno
+        requirements.append(req)
     return Dataset(name=name or path.stem, requirements=tuple(requirements))
 
 

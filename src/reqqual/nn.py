@@ -24,10 +24,20 @@ Classification reads the final hidden state h_T, applies inverted
 dropout (train mode only), then a dense layer and softmax over the two
 classes.  Class 0 means "property satisfied".
 
-Training and inference run the padded batch path, which right-pads with
-PAD=0 and freezes finished rows via masking.  The per-sequence path is
-the readable reference: the tests and gradient checks hold the batch
-path to it within 1e-10.
+Training and inference run the batch kernel, forward_batch and
+backward_batch, after Appleyard et al., arXiv:1604.01946.  Tokens are tag
+ids, so layer 0's input term is a row of a V x H table per gate, E . U^T
+(E . W_x^T + b for LSTM, whose (H, H+N) weights split at call time into
+W_h = w[:, :H] and W_x = w[:, H:]); each step gathers it by id.  Each gate
+is its own matmul: concatenating the large weights was no faster and
+raised peak memory.  Rows run longest first, so finished rows are skipped
+instead of masked.  Backward keeps only the recurrent products inside the
+time loop and forms every weight gradient as one matmul after it.
+Inference keeps no caches, only h (and c) and the outputs of a layer that
+another layer reads.
+
+The per-sequence path is the readable reference: the tests and gradient
+checks hold the batch kernel to it within 1e-10.
 """
 
 from __future__ import annotations
@@ -426,44 +436,41 @@ def backward(
 
 
 # --- padded batch path ------------------------------------------------------
+#
+# The kernel's rows are the batch sorted longest first; the rows still running
+# at step t are [:active[t]].  State arrays are time-major, (T, B, ...), over
+# these rows.  Per-step gate values and their gradients are packed: step t
+# owns rows offsets[t]:offsets[t+1] of a (tokens, ...) array, so no padded
+# slot costs a FLOP in the weight-gradient matmuls.
+
+
+class LayerTape(NamedTuple):
+    """One layer's forward values that backward_batch reads (train mode only).
+
+    In hs and cs, a row's entries after its last step stay zero.
+    """
+
+    hs: np.ndarray  # (T+1, B, H) hidden states: hs[0] = 0, hs[t+1] after step t
+    gates: np.ndarray  # (tokens, G*H) packed gate activations, GRU z|r|s, LSTM f|i|o|g
+    cs: np.ndarray | None  # LSTM (T+1, B, H) memory cells; None for GRU
+
 
 @dataclass
 class BatchTrace:
-    """Batched analogue of ForwardTrace over right-padded sequences."""
+    """What one forward_batch call leaves for backward_batch."""
 
-    ids: np.ndarray  # (B, T) int64, PAD = 0 on the right
-    mask: np.ndarray  # (B, T) float64, 1.0 while the row is still active
+    ids: np.ndarray  # (B, T) int64, PAD = 0 on the right, input order
     config: ModelConfig
     mode: RunMode
-    layer_caches: list[list]
-    final_hidden: np.ndarray  # (B, H)
+    order: np.ndarray  # (B,) input row of each kernel row, longest first
+    steps: np.ndarray  # (T, B) ids of the kernel rows, time-major
+    active: list[int]  # kernel rows [:active[t]] are still running at step t
+    layer_caches: list[LayerTape] | None  # train mode only
+    final_hidden: np.ndarray  # (B, H) h_T before dropout, input order
     dropout_scale: np.ndarray | None  # (B, H)
     dropped: np.ndarray
     logits: np.ndarray
     probs: np.ndarray  # (B, 2)
-
-
-class LstmBatchCache(NamedTuple):
-    xcat: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c_prev: np.ndarray
-    c_new: np.ndarray
-    tc_new: np.ndarray
-    h_prev: np.ndarray
-    m: np.ndarray  # (B, 1) activity mask at this step
-
-
-class GruBatchCache(NamedTuple):
-    x: np.ndarray
-    h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    q: np.ndarray
-    s: np.ndarray
-    m: np.ndarray
 
 
 def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -482,17 +489,108 @@ def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     return ids, mask
 
 
+def _gate_arrays(arrays: Mapping[str, np.ndarray], k: int, config: ModelConfig):
+    """Per-gate (recurrent, input, bias) arrays of layer k, in gate order.
+
+    An LSTM weight (H, H+N) acts on [h; x], so it splits into the views
+    W_h = w[:, :H] and W_x = w[:, H:].  Views copy nothing, so splitting a
+    gradient dict the same way gives the arrays to write in place.  GRU
+    has no biases.
+    """
+    h = config.hidden_units
+    if config.cell is CellType.LSTM:
+        full = [arrays[f"layer{k}.w{g}"] for g in _LSTM_GATES]
+        biases = [arrays[f"layer{k}.b{g}"] for g in _LSTM_GATES]
+        return [w[:, :h] for w in full], [w[:, h:] for w in full], biases
+    return (
+        [arrays[f"layer{k}.w{p}"] for p in _GRU_PARTS],
+        [arrays[f"layer{k}.u{p}"] for p in _GRU_PARTS],
+        None,
+    )
+
+
+def _project(x, us, biases, out):
+    """Gate p of out = x @ us[p].T (+ biases[p]): one matmul per gate, no weights joined."""
+    h = us[0].shape[0]
+    for p, u in enumerate(us):
+        part = out[..., p * h : (p + 1) * h]
+        np.matmul(x, u.T, out=part)
+        if biases is not None:
+            part += biases[p]
+    return out
+
+
+def _step_inputs(k, below, params, us, biases, steps, active, hoist):
+    """Yield per step t the input pre-activations of the running rows [:active[t]].
+
+    Layer 0 projects the embedding once into a V x G*H table and gathers
+    its rows by id.  A layer above projects the outputs of the layer below
+    (T, B, H): all steps in one stacked matmul when hoist is set, else one
+    step at a time.  The stacked matmul makes one BLAS call per step on the
+    same (B, H) block as the per-step form.  BLAS results for a row can
+    depend on the row count of the call, so this keeps train and infer mode
+    bit-identical.
+    """
+    width = len(us) * params.config.hidden_units
+    if k == 0:
+        embedding = params.arrays["embedding"]
+        table = _project(embedding, us, biases, np.empty((len(embedding), width)))
+        for t, n in enumerate(active):
+            yield table[steps[t, :n]]
+    elif hoist:
+        projected = _project(below, us, biases, np.empty(below.shape[:2] + (width,)))
+        for t, n in enumerate(active):
+            yield projected[t, :n]
+    else:
+        row_inputs = np.empty((below.shape[1], width))
+        for t, n in enumerate(active):
+            yield _project(below[t], us, biases, row_inputs)[:n]
+
+
+def _gru_rows(a, x, hp, ws):
+    """One GRU step of rows hp (n, H): fills a (n, 3H) with z|r|s, returns the new h."""
+    h = hp.shape[1]
+    zr, s = a[:, : 2 * h], a[:, 2 * h :]
+    np.matmul(hp, ws[0].T, out=a[:, :h])
+    np.matmul(hp, ws[1].T, out=a[:, h : 2 * h])
+    zr += x[:, : 2 * h]
+    zr[...] = sigmoid(zr)
+    z, r = a[:, :h], a[:, h : 2 * h]
+    np.matmul(hp * r, ws[2].T, out=s)
+    s += x[:, 2 * h :]
+    s[...] = tanh(s)
+    return (1.0 - z) * s + z * hp
+
+
+def _lstm_rows(a, x, hp, cp, ws):
+    """One LSTM step of rows hp, cp (n, H): fills a (n, 4H) with f|i|o|g, returns (h, c)."""
+    h = hp.shape[1]
+    for p, w in enumerate(ws):
+        np.matmul(hp, w.T, out=a[:, p * h : (p + 1) * h])
+    a += x
+    a[:, : 3 * h] = sigmoid(a[:, : 3 * h])
+    a[:, 3 * h :] = tanh(a[:, 3 * h :])
+    f, i, o, g = (a[:, p * h : (p + 1) * h] for p in range(4))
+    c = f * cp + i * g
+    return o * tanh(c), c
+
+
 def forward_batch(
     sequences: Sequence,
     params: ParameterSet,
     mode: RunMode = RunMode.INFER,
     rng: Rng | None = None,
 ) -> tuple[np.ndarray, BatchTrace]:
-    """Batched forward pass; finished rows keep their final state frozen."""
+    """Batched forward pass; finished rows keep their final state.
+
+    Train mode records a LayerTape per layer for backward_batch.  Infer
+    mode keeps only the running h (and c), plus the hidden states of a
+    layer that another layer reads.
+    """
     config = params.config
     mode = RunMode(mode)
     seqs = [_as_ids(s) for s in sequences]
-    ids, mask = pad_batch(seqs)
+    ids, _ = pad_batch(seqs)
     for extreme in (ids.min(), ids.max()):
         if not 0 <= extreme < config.vocab_size:
             raise StructuralError(
@@ -500,46 +598,40 @@ def forward_batch(
             )
     batch, t_max = ids.shape
     h_units = config.hidden_units
+    lengths = np.array([len(s) for s in seqs])
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.ascontiguousarray(ids[order].T)
+    active = (batch - np.cumsum(np.bincount(lengths))[:t_max]).tolist()
+    offsets = np.cumsum([0] + active).tolist()
 
-    xs = params.arrays["embedding"][ids]  # (B, T, N)
-    layer_caches: list[list] = []
+    train = mode is RunMode.TRAIN
+    gru = config.cell is CellType.GRU
+    tapes: list[LayerTape] | None = [] if train else None
+    below = None
     for k in range(config.num_layers):
-        layer = params.layer(k)
-        caches = []
-        h = np.zeros((batch, h_units))
-        c = np.zeros((batch, h_units))
-        outputs = np.zeros((batch, t_max, h_units))
-        for t in range(t_max):
-            x_t = xs[:, t, :]
-            m = mask[:, t : t + 1]
-            if config.cell is CellType.LSTM:
-                xcat = np.concatenate([h, x_t], axis=1)
-                f = sigmoid(xcat @ layer["wf"].T + layer["bf"])
-                i = sigmoid(xcat @ layer["wi"].T + layer["bi"])
-                o = sigmoid(xcat @ layer["wo"].T + layer["bo"])
-                g = tanh(xcat @ layer["wc"].T + layer["bc"])
-                c_new = f * c + i * g
-                tc_new = tanh(c_new)
-                h_new = o * tc_new
-                caches.append(LstmBatchCache(xcat, f, i, o, g, c, c_new, tc_new, h, m))
-                c = m * c_new + (1.0 - m) * c
-                h = m * h_new + (1.0 - m) * h
+        ws, us, biases = _gate_arrays(params.arrays, k, config)
+        keep_hs = train or k < config.num_layers - 1  # backward or the next layer reads hs
+        hs = np.zeros((t_max + 1 if keep_hs else 1, batch, h_units))
+        gates = np.empty((offsets[-1] if train else batch, len(ws) * h_units))
+        cs = None if gru else np.zeros((t_max + 1 if train else 1, batch, h_units))
+        inputs = _step_inputs(k, below, params, us, biases, steps, active, hoist=train)
+        for t, (n, x) in enumerate(zip(active, inputs)):
+            i, j = (t, t + 1) if keep_hs else (0, 0)
+            a = gates[offsets[t] : offsets[t] + n] if train else gates[:n]
+            if gru:
+                hs[j, :n] = _gru_rows(a, x, hs[i, :n], ws)
             else:
-                z = sigmoid(x_t @ layer["uz"].T + h @ layer["wz"].T)
-                r = sigmoid(x_t @ layer["ur"].T + h @ layer["wr"].T)
-                q = h * r
-                s = tanh(x_t @ layer["us"].T + q @ layer["ws"].T)
-                h_new = (1.0 - z) * s + z * h
-                caches.append(GruBatchCache(x_t, h, z, r, q, s, m))
-                h = m * h_new + (1.0 - m) * h
-            outputs[:, t, :] = h
-        layer_caches.append(caches)
-        xs = outputs
+                ci, cj = (t, t + 1) if train else (0, 0)
+                hs[j, :n], cs[cj, :n] = _lstm_rows(a, x, hs[i, :n], cs[ci, :n], ws)
+        if train:
+            tapes.append(LayerTape(hs, gates, cs))
+        below = hs[1:]
 
-    h_final = xs[:, -1, :].copy()
+    h_final = np.empty((batch, h_units))  # from the top layer's hs
+    h_final[order] = hs[lengths[order], np.arange(batch)] if keep_hs else hs[0]
     dropout_scale = None
     dropped = h_final
-    if mode is RunMode.TRAIN and config.dropout_p > 0.0:
+    if train and config.dropout_p > 0.0:
         if rng is None:
             raise ParameterError("train-mode forward with dropout needs an rng")
         keep = 1.0 - config.dropout_p
@@ -551,10 +643,12 @@ def forward_batch(
     probs = softmax(logits)
     trace = BatchTrace(
         ids=ids,
-        mask=mask,
         config=config,
         mode=mode,
-        layer_caches=layer_caches,
+        order=order,
+        steps=steps,
+        active=active,
+        layer_caches=tapes,
         final_hidden=h_final,
         dropout_scale=dropout_scale,
         dropped=dropped,
@@ -564,16 +658,57 @@ def forward_batch(
     return probs, trace
 
 
+def _gru_rows_back(d, dh, a, hp, ws):
+    """Backward of one GRU step: fills d (n, 3H) with the pre-activation
+    gradients of z|r|s and returns dh_prev."""
+    h = hp.shape[1]
+    z, r, s = a[:, :h], a[:, h : 2 * h], a[:, 2 * h :]
+    da_z, da_r, da_s = d[:, :h], d[:, h : 2 * h], d[:, 2 * h :]
+    da_s[...] = dh * (1.0 - z) * (1.0 - s**2)
+    dq = da_s @ ws[2]
+    da_r[...] = dq * hp * r * (1.0 - r)
+    da_z[...] = dh * (hp - s) * z * (1.0 - z)
+    dh_prev = dh * z + dq * r
+    dh_prev += da_r @ ws[1]
+    dh_prev += da_z @ ws[0]
+    return dh_prev
+
+
+def _lstm_rows_back(d, dh, dc, a, cp, tc, ws):
+    """Backward of one LSTM step: fills d (n, 4H) with the pre-activation
+    gradients of f|i|o|g and returns (dh_prev, dc_prev)."""
+    h = dh.shape[1]
+    f, i, o, g = (a[:, p * h : (p + 1) * h] for p in range(4))
+    dc = dc + dh * o * (1.0 - tc**2)
+    d[:, :h] = dc * cp * f * (1.0 - f)
+    d[:, h : 2 * h] = dc * g * i * (1.0 - i)
+    d[:, 2 * h : 3 * h] = dh * tc * o * (1.0 - o)
+    d[:, 3 * h :] = dc * i * (1.0 - g**2)
+    dh_prev = sum(d[:, p * h : (p + 1) * h] @ w for p, w in enumerate(ws))
+    return dh_prev, dc * f
+
+
 def backward_batch(
     trace: BatchTrace,
     true_classes: Sequence[int],
     params: ParameterSet,
 ) -> dict[str, np.ndarray]:
-    """Sum of per-sequence gradients over the batch (caller averages)."""
+    """Sum of per-sequence gradients over the batch (caller averages).
+
+    The time loop does only the recurrent dh (and dc) products.  It stores
+    every step's pre-activation gradients in one packed (tokens, G*H) array,
+    and each weight gradient is then one matmul over all tokens.  At layer
+    0 the gradient of the input table, dTable = onehot(ids)^T . da, gives
+    dU = dTable^T . E and dE = dTable . U.
+    """
     if trace.config != params.config:
         raise StructuralError("trace was produced under a different model configuration")
+    if trace.layer_caches is None:
+        raise StructuralError(
+            "backward_batch needs a train-mode trace; forward_batch keeps no caches in infer mode"
+        )
     config = params.config
-    batch, t_max = trace.ids.shape
+    batch = trace.ids.shape[0]
     classes = np.asarray(list(true_classes), dtype=np.int64)
     if classes.shape != (batch,):
         raise StructuralError(f"expected {batch} labels, got {classes.shape}")
@@ -590,73 +725,54 @@ def backward_batch(
     dd = dlogits @ params.arrays["head.w"]
     dh_final = dd if trace.dropout_scale is None else dd * trace.dropout_scale
 
-    dh_external = np.zeros((batch, t_max, h_units))
-    dh_external[:, -1, :] = dh_final
-
+    steps, active = trace.steps, trace.active
+    t_max = steps.shape[0]
+    offsets = np.cumsum([0] + active).tolist()
+    # (t, b) slots of the running rows, flat over (T, B), in packed order
+    live = np.flatnonzero(np.arange(batch) < np.array(active)[:, None])
+    gru = config.cell is CellType.GRU
+    d_out = None  # (tokens, H) packed gradient reaching layer k's outputs from layer k+1
     for k in reversed(range(config.num_layers)):
-        layer = params.layer(k)
-        caches = trace.layer_caches[k]
-        dx_below = np.zeros((batch, t_max, config.layer_input_dim(k)))
-        dh_carry = np.zeros((batch, h_units))
-        dc_carry = np.zeros((batch, h_units))
+        tape = trace.layer_caches[k]
+        ws, us, _ = _gate_arrays(params.arrays, k, config)
+        gws, gus, gbs = _gate_arrays(grads, k, config)
+        da = np.empty_like(tape.gates)
+        dh = dh_final[trace.order] if d_out is None else np.zeros((batch, h_units))
+        dc = np.zeros((batch, h_units))
+        tcs = None if gru else tanh(tape.cs[1:])
         for t in reversed(range(t_max)):
-            dh = dh_external[:, t, :] + dh_carry
-            if config.cell is CellType.LSTM:
-                cache: LstmBatchCache = caches[t]
-                m = cache.m
-                dh_active = dh * m
-                dc_active = dc_carry * m
-                do = dh_active * cache.tc_new
-                dc_new = dc_active + dh_active * cache.o * (1.0 - cache.tc_new**2)
-                df = dc_new * cache.c_prev
-                di = dc_new * cache.g
-                dg = dc_new * cache.i
-                dc_carry = dc_new * cache.f + dc_carry * (1.0 - m)
-                da_f = df * cache.f * (1.0 - cache.f)
-                da_i = di * cache.i * (1.0 - cache.i)
-                da_o = do * cache.o * (1.0 - cache.o)
-                da_g = dg * (1.0 - cache.g**2)
-                grads[f"layer{k}.wf"] += da_f.T @ cache.xcat
-                grads[f"layer{k}.bf"] += da_f.sum(axis=0)
-                grads[f"layer{k}.wi"] += da_i.T @ cache.xcat
-                grads[f"layer{k}.bi"] += da_i.sum(axis=0)
-                grads[f"layer{k}.wo"] += da_o.T @ cache.xcat
-                grads[f"layer{k}.bo"] += da_o.sum(axis=0)
-                grads[f"layer{k}.wc"] += da_g.T @ cache.xcat
-                grads[f"layer{k}.bc"] += da_g.sum(axis=0)
-                dxcat = da_f @ layer["wf"] + da_i @ layer["wi"] + da_o @ layer["wo"] + da_g @ layer["wc"]
-                dh_carry = dxcat[:, :h_units] + dh * (1.0 - m)
-                dx_below[:, t, :] = dxcat[:, h_units:]
+            n = active[t]
+            rows = slice(offsets[t], offsets[t] + n)
+            dh_t = dh[:n] if d_out is None else dh[:n] + d_out[rows]
+            if gru:
+                dh[:n] = _gru_rows_back(da[rows], dh_t, tape.gates[rows], tape.hs[t, :n], ws)
             else:
-                gcache: GruBatchCache = caches[t]
-                m = gcache.m
-                dh_active = dh * m
-                ds = dh_active * (1.0 - gcache.z)
-                dz = dh_active * (gcache.h_prev - gcache.s)
-                dh_prev = dh_active * gcache.z + dh * (1.0 - m)
-                da_s = ds * (1.0 - gcache.s**2)
-                grads[f"layer{k}.us"] += da_s.T @ gcache.x
-                grads[f"layer{k}.ws"] += da_s.T @ gcache.q
-                dx = da_s @ layer["us"]
-                dq = da_s @ layer["ws"]
-                dh_prev += dq * gcache.r
-                dr = dq * gcache.h_prev
-                da_r = dr * gcache.r * (1.0 - gcache.r)
-                grads[f"layer{k}.ur"] += da_r.T @ gcache.x
-                grads[f"layer{k}.wr"] += da_r.T @ gcache.h_prev
-                dx += da_r @ layer["ur"]
-                dh_prev += da_r @ layer["wr"]
-                da_z = dz * gcache.z * (1.0 - gcache.z)
-                grads[f"layer{k}.uz"] += da_z.T @ gcache.x
-                grads[f"layer{k}.wz"] += da_z.T @ gcache.h_prev
-                dx += da_z @ layer["uz"]
-                dh_prev += da_z @ layer["wz"]
-                dh_carry = dh_prev
-                dx_below[:, t, :] = dx
-        dh_external = dx_below
+                dh[:n], dc[:n] = _lstm_rows_back(
+                    da[rows], dh_t, dc[:n], tape.gates[rows], tape.cs[t, :n], tcs[t, :n], ws
+                )
 
-    flat_ids = trace.ids.reshape(-1)
-    flat_dx = dh_external.reshape(-1, config.embedding_dim)
-    active = trace.mask.reshape(-1) > 0.0
-    np.add.at(grads["embedding"], flat_ids[active], flat_dx[active])
+        parts = [da[:, p * h_units : (p + 1) * h_units] for p in range(len(ws))]
+        h_prev = tape.hs[:-1].reshape(-1, h_units)[live]
+        if gru:  # W_s multiplies q = h_prev * r
+            recurrent_inputs = [h_prev, h_prev, h_prev * tape.gates[:, h_units : 2 * h_units]]
+        else:
+            recurrent_inputs = [h_prev] * 4
+            for gb, part in zip(gbs, parts):
+                part.sum(axis=0, out=gb)
+        for gw, part, x in zip(gws, parts, recurrent_inputs):
+            np.matmul(part.T, x, out=gw)
+
+        if k == 0:
+            embedding = params.arrays["embedding"]
+            onehot = steps.reshape(-1)[live] == np.arange(config.vocab_size)[:, None]
+            d_table = onehot.astype(np.float64) @ da
+            for p, (u, gu) in enumerate(zip(us, gus)):
+                d_part = d_table[:, p * h_units : (p + 1) * h_units]
+                np.matmul(d_part.T, embedding, out=gu)
+                grads["embedding"] += d_part @ u
+        else:
+            x = trace.layer_caches[k - 1].hs[1:].reshape(-1, h_units)[live]
+            for gu, part in zip(gus, parts):
+                np.matmul(part.T, x, out=gu)
+            d_out = sum(part @ u for part, u in zip(parts, us))
     return grads

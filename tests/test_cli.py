@@ -319,6 +319,29 @@ def test_crossval_deterministic_report(workdir, tmp_path, capsys):
     assert "3-fold accuracy" in stdout
 
 
+def test_crossval_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"id": "a", "text": "The system shall \xff work."}\n')
+    code = main([
+        "crossval", "--input", str(bad), "--property", "singular",
+        "--folds", "2", "--report", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    assert "error: line 1: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--input", "--model"])
+def test_directory_as_path_exits_2(workdir, tmp_path, flag, capsys):
+    paths = {"--input": str(workdir.dataset), "--model": str(workdir.model)}
+    paths[flag] = str(tmp_path)
+    code = main([
+        "evaluate", "--model", paths["--model"], "--input", paths["--input"],
+        "--out", str(tmp_path / "p.jsonl"),
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_crossval_too_many_folds_exits_2(workdir, tmp_path, capsys):
     code = main([
         "crossval", "--input", str(workdir.dataset), "--property", "singular",

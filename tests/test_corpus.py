@@ -104,6 +104,12 @@ class TestFileErrors:
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
 
+    def test_non_utf8_bytes_name_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "t"}\n{"id": "b", "text": "caf\xe9"}\n')
+        with pytest.raises(DatasetError, match="line 2: not valid UTF-8"):
+            load_dataset(path)
+
     def test_unknown_field_rejected(self, tmp_path):
         path = self.write(tmp_path, '{"id": "a", "text": "t", "score": 1}')
         with pytest.raises(DatasetError, match="'score'"):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reqqual.errors import ParameterError, StructuralError
 from reqqual.numcore import Rng, softmax
@@ -467,7 +469,7 @@ class TestBatchPath:
         seqs = [(2, 3, 4), (5, 6, 7, 2, 3, 4, 5), (7, 3, 2, 6, 4), (3,)]
         labels = [0, 1, 1, 0]
         loop_losses, loop_grads = self.loop_reference(seqs, labels, params)
-        probs, trace = forward_batch(seqs, params)
+        probs, trace = forward_batch(seqs, params, mode=RunMode.TRAIN)
         batch_losses = -np.log(probs[np.arange(4), labels])
         np.testing.assert_allclose(batch_losses, loop_losses, rtol=0, atol=1e-10)
         batch_grads = backward_batch(trace, labels, params)
@@ -508,6 +510,78 @@ class TestBatchPath:
 
     def test_batch_label_count_checked(self):
         _, params = build(CellType.GRU)
-        _, trace = forward_batch([(2, 3), (4,)], params)
+        _, trace = forward_batch([(2, 3), (4,)], params, mode=RunMode.TRAIN)
         with pytest.raises(StructuralError):
             backward_batch(trace, [0], params)
+
+    def test_backward_needs_train_mode_trace(self):
+        _, params = build(CellType.LSTM)
+        _, trace = forward_batch([(2, 3), (4,)], params)
+        with pytest.raises(StructuralError, match="backward_batch needs a train-mode trace"):
+            backward_batch(trace, [0, 1], params)
+
+
+@st.composite
+def ragged_batches(draw, dropout=st.just(0.0)):
+    """A model and a batch of 1-6 rows, always with a length-1 row and a PAD id 0 mid-row."""
+    vocab = draw(st.integers(4, 13))
+    config = ModelConfig(
+        cell=draw(st.sampled_from(list(CellType))),
+        vocab_size=vocab,
+        embedding_dim=draw(st.integers(1, 5)),
+        hidden_units=draw(st.integers(1, 5)),
+        num_layers=draw(st.integers(1, 2)),
+        dropout_p=draw(dropout),
+    )
+    params = ParameterSet.initialize(config, Rng(draw(st.integers(0, 2**16))))
+    token = st.integers(0, vocab - 1)
+    seqs = draw(st.lists(st.lists(token, min_size=1, max_size=8), max_size=4))
+    seqs += [[draw(token)], [draw(token), 0, draw(token)]]
+    seqs = draw(st.permutations(seqs))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(seqs), max_size=len(seqs)))
+    return params, seqs, labels
+
+
+class TestBatchKernelProperties:
+    """The batch kernel against the per-sequence reference, over drawn shapes and batches."""
+
+    @given(ragged_batches(dropout=st.sampled_from([0.0, 0.4])), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_losses_and_gradients_equal_summed_reference(self, case, seed):
+        params, seqs, labels = case
+        loop_rng, batch_rng = Rng(seed), Rng(seed)
+        loop_losses, loop_grads = [], zero_gradients(params.config)
+        for ids, y in zip(seqs, labels):
+            probs, trace = forward(ids, params, mode=RunMode.TRAIN, rng=loop_rng)
+            loop_losses.append(-math.log(probs[y]))
+            for name, g in backward(trace, y, params).items():
+                loop_grads[name] += g
+        probs, trace = forward_batch(seqs, params, mode=RunMode.TRAIN, rng=batch_rng)
+        batch_losses = -np.log(probs[np.arange(len(seqs)), labels])
+        np.testing.assert_allclose(batch_losses, loop_losses, rtol=0, atol=1e-10)
+        batch_grads = backward_batch(trace, labels, params)
+        for name in loop_grads:
+            np.testing.assert_allclose(
+                batch_grads[name], loop_grads[name], rtol=0, atol=1e-10, err_msg=name
+            )
+
+    @given(ragged_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_infer_equals_train_bit_for_bit_without_dropout(self, case):
+        params, seqs, _ = case
+        p_infer, trace_infer = forward_batch(seqs, params)
+        p_train, trace_train = forward_batch(seqs, params, mode=RunMode.TRAIN)
+        assert trace_infer.layer_caches is None
+        np.testing.assert_array_equal(p_infer, p_train)
+        np.testing.assert_array_equal(trace_infer.final_hidden, trace_train.final_hidden)
+
+    @given(ragged_batches(dropout=st.floats(0.05, 0.9)), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_dropout_probs_match_loop(self, case, seed):
+        params, seqs, _ = case
+        probs_batch, _ = forward_batch(seqs, params, mode=RunMode.TRAIN, rng=Rng(seed, stream=2))
+        rng = Rng(seed, stream=2)
+        probs_loop = np.stack([
+            forward(ids, params, mode=RunMode.TRAIN, rng=rng)[0] for ids in seqs
+        ])
+        np.testing.assert_allclose(probs_batch, probs_loop, rtol=0, atol=1e-12)
