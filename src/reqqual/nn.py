@@ -36,8 +36,9 @@ time loop and forms every weight gradient as one matmul after it.
 Inference keeps no caches, only h (and c) and the outputs of a layer that
 another layer reads.
 
-The per-sequence path is the readable reference: the tests and gradient
-checks hold the batch kernel to it within 1e-10.
+The per-sequence path is the readable reference: the tests hold the batch
+kernel to it within 1e-10, and the gradient checks hold it to finite
+differences.
 """
 
 from __future__ import annotations
@@ -459,7 +460,6 @@ class LayerTape(NamedTuple):
 class BatchTrace:
     """What one forward_batch call leaves for backward_batch."""
 
-    ids: np.ndarray  # (B, T) int64, PAD = 0 on the right, input order
     config: ModelConfig
     mode: RunMode
     order: np.ndarray  # (B,) input row of each kernel row, longest first
@@ -520,16 +520,14 @@ def _project(x, us, biases, out):
     return out
 
 
-def _step_inputs(k, below, params, us, biases, steps, active, hoist):
+def _step_inputs(k, below, params, us, biases, steps, active):
     """Yield per step t the input pre-activations of the running rows [:active[t]].
 
     Layer 0 projects the embedding once into a V x G*H table and gathers
-    its rows by id.  A layer above projects the outputs of the layer below
-    (T, B, H): all steps in one stacked matmul when hoist is set, else one
-    step at a time.  The stacked matmul makes one BLAS call per step on the
-    same (B, H) block as the per-step form.  BLAS results for a row can
-    depend on the row count of the call, so this keeps train and infer mode
-    bit-identical.
+    its rows by id.  A layer above projects the running rows of the layer
+    below's outputs (T, B, H) one step at a time.  Train and infer mode
+    make the same calls on the same rows: BLAS results for a row can depend
+    on the row count of the call, and the two modes must stay bit-identical.
     """
     width = len(us) * params.config.hidden_units
     if k == 0:
@@ -537,14 +535,10 @@ def _step_inputs(k, below, params, us, biases, steps, active, hoist):
         table = _project(embedding, us, biases, np.empty((len(embedding), width)))
         for t, n in enumerate(active):
             yield table[steps[t, :n]]
-    elif hoist:
-        projected = _project(below, us, biases, np.empty(below.shape[:2] + (width,)))
-        for t, n in enumerate(active):
-            yield projected[t, :n]
     else:
         row_inputs = np.empty((below.shape[1], width))
         for t, n in enumerate(active):
-            yield _project(below[t], us, biases, row_inputs)[:n]
+            yield _project(below[t, :n], us, biases, row_inputs[:n])
 
 
 def _gru_rows(a, x, hp, ws):
@@ -590,17 +584,21 @@ def forward_batch(
     config = params.config
     mode = RunMode(mode)
     seqs = [_as_ids(s) for s in sequences]
-    ids, _ = pad_batch(seqs)
-    for extreme in (ids.min(), ids.max()):
+    if not seqs:
+        raise ParameterError("cannot build an empty batch")
+    batch = len(seqs)
+    lengths = np.array([len(s) for s in seqs])
+    t_max = int(lengths.max())
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.zeros((t_max, batch), dtype=np.int64)  # PAD = 0 after a row ends
+    for b, row in enumerate(order):
+        steps[: lengths[row], b] = seqs[row]
+    for extreme in (steps.min(), steps.max()):
         if not 0 <= extreme < config.vocab_size:
             raise StructuralError(
                 f"id {extreme} outside embedding table with {config.vocab_size} rows"
             )
-    batch, t_max = ids.shape
     h_units = config.hidden_units
-    lengths = np.array([len(s) for s in seqs])
-    order = np.argsort(-lengths, kind="stable")
-    steps = np.ascontiguousarray(ids[order].T)
     active = (batch - np.cumsum(np.bincount(lengths))[:t_max]).tolist()
     offsets = np.cumsum([0] + active).tolist()
 
@@ -614,7 +612,7 @@ def forward_batch(
         hs = np.zeros((t_max + 1 if keep_hs else 1, batch, h_units))
         gates = np.empty((offsets[-1] if train else batch, len(ws) * h_units))
         cs = None if gru else np.zeros((t_max + 1 if train else 1, batch, h_units))
-        inputs = _step_inputs(k, below, params, us, biases, steps, active, hoist=train)
+        inputs = _step_inputs(k, below, params, us, biases, steps, active)
         for t, (n, x) in enumerate(zip(active, inputs)):
             i, j = (t, t + 1) if keep_hs else (0, 0)
             a = gates[offsets[t] : offsets[t] + n] if train else gates[:n]
@@ -642,7 +640,6 @@ def forward_batch(
     logits = dropped @ params.arrays["head.w"].T + params.arrays["head.b"]
     probs = softmax(logits)
     trace = BatchTrace(
-        ids=ids,
         config=config,
         mode=mode,
         order=order,
@@ -708,7 +705,7 @@ def backward_batch(
             "backward_batch needs a train-mode trace; forward_batch keeps no caches in infer mode"
         )
     config = params.config
-    batch = trace.ids.shape[0]
+    batch = len(trace.order)
     classes = np.asarray(list(true_classes), dtype=np.int64)
     if classes.shape != (batch,):
         raise StructuralError(f"expected {batch} labels, got {classes.shape}")
