@@ -73,7 +73,7 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
     manifest = []
     offset = 0
     blobs = []
-    for name, arr in artifact.params.named_arrays():
+    for name, arr in artifact.params.arrays.items():
         rows = arr.shape[0]
         cols = arr.shape[1] if arr.ndim == 2 else 0
         manifest.append({"name": name, "rows": rows, "cols": cols, "offset": offset})
@@ -100,6 +100,13 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
             handle.write(blob)
 
 
+def _header_int(value, what: str) -> int:
+    """An integer from the header; bools and floats do not count."""
+    if type(value) is not int:
+        raise ArtifactError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_model(path: str | Path) -> ModelArtifact:
     path = Path(path)
     if not path.exists():
@@ -124,6 +131,8 @@ def load_model(path: str | Path) -> ModelArtifact:
         raise ArtifactError(f"model header in {path} is not valid JSON") from exc
     pos += header_len
 
+    if not isinstance(header, dict):
+        raise ArtifactError(f"model header in {path} is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(
             f"header format_version {header.get('format_version')!r} "
@@ -134,11 +143,22 @@ def load_model(path: str | Path) -> ModelArtifact:
         vocabulary = TagVocabulary.from_json(header["vocabulary"])
         prop = PropertyName(header["property"])
         mode = TaggerMode(header["tagger_mode"])
-        seed = int(header["seed"])
+        seed = header["seed"]
         metadata = header.get("metadata", {})
         manifest = header["manifest"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"model header in {path} is malformed: {exc}") from exc
+    _header_int(seed, "header seed")
+    if not isinstance(metadata, dict):
+        raise ArtifactError(f"header metadata in {path} is not a JSON object")
+    if not isinstance(manifest, list) or not all(isinstance(m, dict) for m in manifest):
+        raise ArtifactError(f"parameter manifest in {path} is not a list of objects")
+    # every layer owns manifest entries; this bounds the manifest built below
+    if config.num_layers > len(manifest):
+        raise ArtifactError(
+            f"model_config num_layers {config.num_layers!r} does not fit a manifest "
+            f"of {len(manifest)} entries"
+        )
 
     expected = parameter_manifest(config)
     if [m.get("name") for m in manifest] != [name for name, _ in expected]:
@@ -148,13 +168,16 @@ def load_model(path: str | Path) -> ModelArtifact:
     arrays: dict[str, np.ndarray] = {}
     offset_check = 0
     for entry, (name, shape) in zip(manifest, expected):
-        rows, cols = int(entry["rows"]), int(entry["cols"])
+        rows, cols, offset = (
+            _header_int(entry.get(key), f"parameter {name!r} {key}")
+            for key in ("rows", "cols", "offset")
+        )
         declared = (rows,) if cols == 0 else (rows, cols)
         if declared != shape:
             raise ArtifactError(f"parameter {name!r} declares shape {declared}, expected {shape}")
-        if int(entry["offset"]) != offset_check:
+        if offset != offset_check:
             raise ArtifactError(
-                f"parameter {name!r} declares offset {entry['offset']}, expected {offset_check}"
+                f"parameter {name!r} declares offset {offset}, expected {offset_check}"
             )
         count = rows * (cols if cols else 1)
         nbytes = count * 8

@@ -134,12 +134,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    rates: dict[PropertyName, float] = {}
+    rates: dict[str, float] = {}
     for item in args.rate or []:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ParameterError(f"--rate takes PROPERTY=FRACTION, got {item!r}")
-        rates[PropertyName(name)] = float(value)
+        name, _, value = item.partition("=")
+        try:
+            rates[name] = float(value)  # without "=" value is empty, which float rejects
+        except ValueError:
+            raise ParameterError(f"--rate takes PROPERTY=FRACTION, got {item!r}") from None
     plan = SignalPlan(violation_rates=rates) if rates else None
     dataset = generate_synthetic(args.n, args.seed, plan)
     save_dataset(dataset, args.out)
@@ -230,7 +231,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         dataset, prop,
         candidate.model_config(vocab_size=3),
         candidate.train_config(args.seed, args.batch_size, _clip_norm(args)),
-        k=args.folds, seed=args.seed, tagger_mode=mode, keep_curves=True,
+        k=args.folds, seed=args.seed, tagger_mode=mode,
     )
     report_path = Path(args.report)
     result.save_json(report_path)

@@ -292,8 +292,25 @@ class SignalPlan:
         default_factory=lambda: {p: 0.5 for p in PROPERTIES}
     )
 
+    def __post_init__(self):
+        rates = {}
+        for name, rate in self.violation_rates.items():
+            try:
+                prop = PropertyName(name)
+            except ValueError:
+                raise ParameterError(
+                    f"violation rate for unknown property {name!r}; "
+                    f"expected one of {', '.join(p.value for p in PROPERTIES)}"
+                ) from None
+            if not (isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0):  # NaN fails too
+                raise ParameterError(
+                    f"violation rate for {prop.value} must lie in [0, 1], got {rate!r}"
+                )
+            rates[prop] = float(rate)
+        object.__setattr__(self, "violation_rates", rates)
+
     def rate(self, prop: PropertyName) -> float:
-        return float(self.violation_rates.get(PropertyName(prop), 0.5))
+        return self.violation_rates.get(PropertyName(prop), 0.5)
 
 
 def derive_labels(text: str) -> dict[PropertyName, bool]:
@@ -420,7 +437,3 @@ def generate_synthetic(n: int, seed: int, plan: SignalPlan | None = None) -> Dat
         )
     return Dataset(name=f"synthetic-n{n}-seed{seed}", requirements=tuple(requirements))
 
-
-def count_unlabeled(dataset: Dataset, prop: PropertyName) -> int:
-    """How many requirements lack a label for `prop` (excluded from training/eval)."""
-    return len(dataset) - len(dataset.labeled(prop))

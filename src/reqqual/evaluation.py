@@ -221,7 +221,6 @@ def cross_validate(
     k: int,
     seed: int,
     tagger_mode: TaggerMode = TaggerMode.RULES,
-    keep_curves: bool = False,
 ) -> CvResult:
     """k-fold cross-validation of one property's classifier.
 
@@ -249,8 +248,7 @@ def cross_validate(
         predictions = [classify(row) for row in probs]
         labels = [encoded[rid][1] for rid in test_ids]
         folds.append(compute_metrics(predictions, labels, probs))
-        if keep_curves:
-            curves.append(curve)
+        curves.append(curve)
 
     best_fold = max(range(k), key=lambda i: (folds[i].accuracy, -i))
     return CvResult(

@@ -44,6 +44,7 @@ differences.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -78,6 +79,10 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "cell", CellType(self.cell))
+        for name in ("vocab_size", "embedding_dim", "hidden_units", "num_layers", "num_classes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.vocab_size < 3:
             raise ParameterError(f"vocab_size must be >= 3 (PAD, UNK, one tag), got {self.vocab_size}")
         if self.embedding_dim < 1:
@@ -154,14 +159,6 @@ class ParameterSet:
             else:
                 arrays[name] = np.zeros(shape)
         return cls(config=config, arrays=arrays)
-
-    @classmethod
-    def zeros(cls, config: ModelConfig) -> "ParameterSet":
-        arrays = {name: np.zeros(shape) for name, shape in parameter_manifest(config)}
-        return cls(config=config, arrays=arrays)
-
-    def named_arrays(self):
-        return list(self.arrays.items())
 
     def layer(self, k: int) -> dict[str, np.ndarray]:
         prefix = f"layer{k}."
@@ -263,12 +260,10 @@ class ForwardTrace:
 
     ids: tuple[int, ...]
     config: ModelConfig
-    mode: RunMode
     layer_caches: list[list]  # [layer][t] -> LstmStepCache | GruStepCache
     final_hidden: np.ndarray  # h_T before dropout
     dropout_scale: np.ndarray | None  # mask / (1 - p); None when inactive
     dropped: np.ndarray  # head input
-    logits: np.ndarray
     probs: np.ndarray
 
 
@@ -321,17 +316,14 @@ def forward(
         dropout_scale = mask / keep
         dropped = h_final * dropout_scale
 
-    logits = params.arrays["head.w"] @ dropped + params.arrays["head.b"]
-    probs = softmax(logits)
+    probs = softmax(params.arrays["head.w"] @ dropped + params.arrays["head.b"])
     trace = ForwardTrace(
         ids=seq,
         config=config,
-        mode=mode,
         layer_caches=layer_caches,
         final_hidden=h_final,
         dropout_scale=dropout_scale,
         dropped=dropped,
-        logits=logits,
         probs=probs,
     )
     return probs, trace
@@ -461,7 +453,6 @@ class BatchTrace:
     """What one forward_batch call leaves for backward_batch."""
 
     config: ModelConfig
-    mode: RunMode
     order: np.ndarray  # (B,) input row of each kernel row, longest first
     steps: np.ndarray  # (T, B) ids of the kernel rows, time-major
     active: list[int]  # kernel rows [:active[t]] are still running at step t
@@ -469,24 +460,7 @@ class BatchTrace:
     final_hidden: np.ndarray  # (B, H) h_T before dropout, input order
     dropout_scale: np.ndarray | None  # (B, H)
     dropped: np.ndarray
-    logits: np.ndarray
     probs: np.ndarray  # (B, 2)
-
-
-def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad with PAD=0; returns (ids (B,T), mask (B,T))."""
-    if not sequences:
-        raise ParameterError("cannot build an empty batch")
-    lengths = [len(s) for s in sequences]
-    if min(lengths) == 0:
-        raise ParameterError("cannot batch an empty sequence")
-    t_max = max(lengths)
-    ids = np.zeros((len(sequences), t_max), dtype=np.int64)
-    mask = np.zeros((len(sequences), t_max))
-    for b, seq in enumerate(sequences):
-        ids[b, : len(seq)] = [int(i) for i in seq]
-        mask[b, : len(seq)] = 1.0
-    return ids, mask
 
 
 def _gate_arrays(arrays: Mapping[str, np.ndarray], k: int, config: ModelConfig):
@@ -637,11 +611,9 @@ def forward_batch(
         dropout_scale = masks / keep
         dropped = h_final * dropout_scale
 
-    logits = dropped @ params.arrays["head.w"].T + params.arrays["head.b"]
-    probs = softmax(logits)
+    probs = softmax(dropped @ params.arrays["head.w"].T + params.arrays["head.b"])
     trace = BatchTrace(
         config=config,
-        mode=mode,
         order=order,
         steps=steps,
         active=active,
@@ -649,7 +621,6 @@ def forward_batch(
         final_hidden=h_final,
         dropout_scale=dropout_scale,
         dropped=dropped,
-        logits=logits,
         probs=probs,
     )
     return probs, trace

@@ -29,10 +29,6 @@ class Rng:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def derive(self, stream: int) -> "Rng":
-        """Fresh generator on an independent stream of the same seed."""
-        return Rng(self.seed, stream)
-
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
 
@@ -84,9 +80,3 @@ def glorot_uniform(rows: int, cols: int, rng: Rng) -> np.ndarray:
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
 
-
-def require_finite(arr: np.ndarray, name: str) -> np.ndarray:
-    """Reject NaN/Inf in values arriving from external data."""
-    if not np.all(np.isfinite(arr)):
-        raise StructuralError(f"non-finite values in {name}")
-    return arr

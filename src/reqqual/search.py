@@ -230,20 +230,6 @@ def preset_candidate(prop: PropertyName) -> Candidate:
     return PRESETS[PropertyName(prop)]
 
 
-def preset_config(
-    prop: PropertyName,
-    vocab_size: int = 3,
-    seed: int = 0,
-    batch_size: int = 32,
-    clip_norm: float | None = 5.0,
-) -> tuple[ModelConfig, TrainConfig]:
-    candidate = preset_candidate(prop)
-    return (
-        candidate.model_config(vocab_size),
-        candidate.train_config(seed, batch_size, clip_norm),
-    )
-
-
 # ------------------------------------------------------------------ search
 
 

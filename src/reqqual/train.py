@@ -32,18 +32,19 @@ from .nn import (
 
 PROB_FLOOR = 1e-12  # keeps -log finite on saturated mispredictions
 
+# Adam at the defaults of Kingma & Ba (arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
     epochs: int
     batch_size: int = 32
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     clip_norm: float | None = 5.0
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -52,10 +53,6 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0.0 <= self.adam_beta1 < 1.0) or not (0.0 <= self.adam_beta2 < 1.0):
-            raise ParameterError("adam betas must lie in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ParameterError("adam_epsilon must be positive")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ParameterError(f"clip_norm must be positive or None, got {self.clip_norm}")
 
@@ -85,7 +82,7 @@ def adam_update(
     cfg: TrainConfig,
 ) -> tuple[ParameterSet, AdamState]:
     """One Adam step with bias correction, applied in place."""
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     t_hat = state.t + 1
     for name, arr in params.arrays.items():
         g = grads[name]
@@ -202,10 +199,7 @@ def fit(
     batch_count = (n + train_config.batch_size - 1) // train_config.batch_size
 
     for epoch in range(1, train_config.epochs + 1):
-        if train_config.shuffle_each_epoch:
-            order = rng.permutation(n)
-        else:
-            order = np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
         for b in range(batch_count):

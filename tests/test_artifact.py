@@ -5,10 +5,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reqqual.artifact import FORMAT_VERSION, MAGIC, ModelArtifact, load_model, save_model
+from reqqual.cli import main
 from reqqual.corpus import PropertyName
-from reqqual.errors import ArtifactError
+from reqqual.errors import ArtifactError, ReqqualError
 from reqqual.nn import CellType, ModelConfig, ParameterSet, RunMode, forward
 from reqqual.numcore import Rng
 from reqqual.textpipe import TaggerMode, TagVocabulary
@@ -37,11 +40,16 @@ def make_artifact(cell="gru", layers=1, seed=7, metadata=None):
 
 
 def rewrite_header(path, mutate):
-    """Re-serialize the header JSON after applying `mutate`, keep payload."""
+    """Re-serialize the header JSON after applying `mutate`, keep payload.
+
+    `mutate` edits the header in place, or returns a replacement for it.
+    """
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 6)
     header = json.loads(raw[10 : 10 + header_len].decode("utf-8"))
-    mutate(header)
+    replacement = mutate(header)
+    if replacement is not None:
+        header = replacement
     new_header = json.dumps(header, ensure_ascii=False).encode("utf-8")
     path.write_bytes(
         raw[:6] + struct.pack("<I", len(new_header)) + new_header + raw[10 + header_len :]
@@ -55,7 +63,7 @@ def test_round_trip_parameters_bit_exact(tmp_path, cell, layers):
     save_model(artifact, path)
     loaded = load_model(path)
     for (name, arr), (name2, arr2) in zip(
-        artifact.params.named_arrays(), loaded.params.named_arrays()
+        artifact.params.arrays.items(), loaded.params.arrays.items()
     ):
         assert name == name2
         assert arr2.dtype == np.float64
@@ -297,3 +305,88 @@ def test_save_accepts_string_path(tmp_path):
     path = tmp_path / "model.rqm"
     save_model(artifact, str(path))
     assert load_model(str(path)).seed == artifact.seed
+
+
+def _drop_offset(header):
+    del header["manifest"][0]["offset"]
+
+
+def _set_rows(value):
+    def mutate(header):
+        header["manifest"][0]["rows"] = value
+    return mutate
+
+
+def _set_config(key, value):
+    def mutate(header):
+        header["model_config"][key] = value
+    return mutate
+
+
+MALFORMED_HEADERS = {
+    "header-is-array": lambda header: [1],
+    "manifest-of-numbers": lambda header: dict(header, manifest=[1, 2]),
+    "manifest-is-string": lambda header: dict(header, manifest="abc"),
+    "entry-without-offset": _drop_offset,
+    "rows-is-string": _set_rows("x"),
+    "rows-is-infinite": _set_rows(float("inf")),
+    "rows-is-float": _set_rows(7.0),
+    "seed-is-infinite": lambda header: dict(header, seed=float("inf")),
+    "seed-is-fraction": lambda header: dict(header, seed=7.9),
+    "metadata-is-array": lambda header: dict(header, metadata=[1, 2]),
+    "num-layers-is-fraction": _set_config("num_layers", 1.5),
+    "hidden-units-is-float": _set_config("hidden_units", 5.0),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_header_rejected(tmp_path, mutate):
+    path = tmp_path / "model.rqm"
+    save_model(make_artifact(), path)
+    rewrite_header(path, mutate)
+    with pytest.raises(ArtifactError):
+        load_model(path)
+
+
+def test_num_layers_checked_before_building_the_manifest(tmp_path):
+    path = tmp_path / "model.rqm"
+    save_model(make_artifact(), path)
+    rewrite_header(path, _set_config("num_layers", 99))
+    with pytest.raises(ArtifactError, match="num_layers 99 does not fit a manifest of 9 entries"):
+        load_model(path)
+
+
+def test_malformed_header_exits_2_through_cli(tmp_path, capsys):
+    path = tmp_path / "model.rqm"
+    save_model(make_artifact(), path)
+    rewrite_header(path, MALFORMED_HEADERS["manifest-of-numbers"])
+    assert main(["predict", "--model", str(path), "--text", "The system shall log."]) == 2
+    assert "parameter manifest" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def saved_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.rqm"
+    save_model(make_artifact(cell="lstm"), path)
+    return path.read_bytes()
+
+
+@given(
+    overwrites=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+                        max_size=3),
+    keep=st.none() | st.floats(0, 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_corrupted_file_loads_or_raises_reqqual_error(saved_bytes, tmp_path_factory,
+                                                      overwrites, keep):
+    raw = bytearray(saved_bytes)
+    for where, value in overwrites:
+        raw[int(where * len(raw))] = value
+    if keep is not None:
+        raw = raw[: int(keep * len(raw))]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.rqm"
+    path.write_bytes(bytes(raw))
+    try:
+        load_model(path)
+    except ReqqualError:
+        pass

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in-process via main(argv)."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -58,6 +59,19 @@ def test_synth_bad_rate_exits_2(tmp_path, capsys):
     out = tmp_path / "synth.jsonl"
     assert main(["synth", "--n", "5", "--out", str(out), "--rate", "singular:0.2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate,message", [
+    ("singular=abc", "--rate takes PROPERTY=FRACTION"),
+    ("bogus=0.5", "unknown property 'bogus'"),
+    ("singular=nan", r"singular must lie in \[0, 1\], got nan"),
+    ("singular=1.5", r"singular must lie in \[0, 1\], got 1.5"),
+], ids=["not-a-number", "unknown-property", "nan", "above-one"])
+def test_synth_invalid_rate_exits_2(tmp_path, capsys, rate, message):
+    out = tmp_path / "synth.jsonl"
+    assert main(["synth", "--n", "5", "--out", str(out), "--rate", rate]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- preprocess

@@ -12,7 +12,6 @@ from reqqual.corpus import (
     PropertyName,
     Requirement,
     SignalPlan,
-    count_unlabeled,
     derive_labels,
     generate_synthetic,
     holdout_split,
@@ -54,8 +53,8 @@ class TestSchema:
     def test_labeled_subset_and_unlabeled_count(self):
         ds = make_dataset(n=10, labeled_every=2)
         assert len(ds.labeled(PropertyName.SINGULAR)) == 5
-        assert count_unlabeled(ds, PropertyName.SINGULAR) == 5
-        assert count_unlabeled(ds, PropertyName.CORRECT) == 10
+        assert len(ds) - len(ds.labeled(PropertyName.SINGULAR)) == 5
+        assert len(ds.labeled(PropertyName.CORRECT)) == 0
 
 
 class TestFileRoundTrip:
@@ -274,6 +273,17 @@ class TestSyntheticGenerator:
         # unspecified properties fall back to the 50/50 default
         singular_pos = sum(1 for r in ds.requirements if r.labels[PropertyName.SINGULAR])
         assert singular_pos == 50
+
+    @pytest.mark.parametrize("rates", [
+        {"bogus": 0.5},
+        {PropertyName.SINGULAR: 1.5},
+        {PropertyName.SINGULAR: -0.1},
+        {PropertyName.SINGULAR: float("nan")},
+        {PropertyName.SINGULAR: "0.5"},
+    ])
+    def test_invalid_violation_rate_rejected(self, rates):
+        with pytest.raises(ParameterError, match="violation rate"):
+            SignalPlan(violation_rates=rates)
 
     def test_ids_and_source(self):
         ds = generate_synthetic(3, seed=0)

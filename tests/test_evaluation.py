@@ -176,7 +176,8 @@ def test_cross_validate_shape():
     assert all(isinstance(m, Metrics) for m in result.folds)
     assert set(result.aggregate) == set(METRIC_NAMES)
     assert result.model_config.vocab_size > 3  # replaced by the built vocabulary
-    assert result.curves == []
+    assert len(result.curves) == 3
+    assert all(len(curve.records) == CV_TRAIN.epochs for curve in result.curves)
     assert sum(m.counts.total for m in result.folds) == 48
 
 
@@ -200,14 +201,6 @@ def test_cross_validate_seed_changes_folds():
     a = cross_validate(cv_dataset(), PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, k=3, seed=1)
     b = cross_validate(cv_dataset(), PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, k=3, seed=2)
     assert a.plan.assignments != b.plan.assignments
-
-
-def test_cross_validate_keeps_curves_on_request():
-    result = cross_validate(
-        cv_dataset(24), PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, k=2, seed=0, keep_curves=True
-    )
-    assert len(result.curves) == 2
-    assert all(len(curve.records) == CV_TRAIN.epochs for curve in result.curves)
 
 
 def test_cross_validate_k_exceeding_data_rejected():

@@ -28,7 +28,6 @@ from reqqual.nn import (
     forward_batch,
     gru_step,
     lstm_step,
-    pad_batch,
     parameter_manifest,
     zero_gradients,
 )
@@ -192,6 +191,15 @@ class TestConfigAndParameters:
             with pytest.raises(ParameterError):
                 ModelConfig(**bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("vocab_size", 5.0), ("embedding_dim", "4"), ("hidden_units", 3.0),
+        ("num_layers", 1.5), ("num_layers", True),
+    ])
+    def test_config_rejects_non_integer_sizes(self, field, value):
+        good = dict(cell=CellType.GRU, vocab_size=5, embedding_dim=4, hidden_units=3)
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            ModelConfig(**dict(good, **{field: value}))
+
     def test_manifest_shapes_lstm(self):
         config = ModelConfig(cell=CellType.LSTM, vocab_size=7, embedding_dim=4,
                              hidden_units=5, num_layers=2)
@@ -216,7 +224,7 @@ class TestConfigAndParameters:
         config = ModelConfig(cell=CellType.LSTM, vocab_size=6, embedding_dim=3, hidden_units=4)
         a = ParameterSet.initialize(config, Rng(9))
         b = ParameterSet.initialize(config, Rng(9))
-        for (name, arr_a), (_, arr_b) in zip(a.named_arrays(), b.named_arrays()):
+        for (name, arr_a), (_, arr_b) in zip(a.arrays.items(), b.arrays.items()):
             np.testing.assert_array_equal(arr_a, arr_b)
         np.testing.assert_array_equal(a.arrays["layer0.bf"], np.ones(4))
         np.testing.assert_array_equal(a.arrays["layer0.bi"], np.zeros(4))
@@ -489,16 +497,15 @@ class TestBatchPath:
         ])
         np.testing.assert_allclose(probs_batch, probs_loop, rtol=0, atol=1e-12)
 
-    def test_pad_batch_layout(self):
-        ids, mask = pad_batch([(2, 3), (4,), (5, 6, 7)])
-        np.testing.assert_array_equal(ids, [[2, 3, 0], [4, 0, 0], [5, 6, 7]])
-        np.testing.assert_array_equal(mask, [[1, 1, 0], [1, 0, 0], [1, 1, 1]])
+    def test_forward_batch_rejects_empty_batch(self):
+        _, params = build(CellType.GRU)
+        with pytest.raises(ParameterError, match="empty batch"):
+            forward_batch([], params)
 
-    def test_pad_batch_rejects_empty(self):
-        with pytest.raises(ParameterError):
-            pad_batch([])
-        with pytest.raises(ParameterError):
-            pad_batch([(2,), ()])
+    def test_forward_batch_rejects_empty_sequence(self):
+        _, params = build(CellType.GRU)
+        with pytest.raises(ParameterError, match="empty sequence"):
+            forward_batch([[2], []], params)
 
     def test_batch_probs_match_single_forward(self):
         _, params = build(CellType.LSTM, vocab=8, n=4, h=5, seed=23)

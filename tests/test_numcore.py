@@ -9,7 +9,6 @@ from reqqual.errors import StructuralError
 from reqqual.numcore import (
     Rng,
     glorot_uniform,
-    require_finite,
     sigmoid,
     softmax,
     tanh,
@@ -76,13 +75,6 @@ class TestActivations:
         assert (out >= 0).all()
 
 
-class TestShapes:
-    def test_require_finite_rejects_nan(self):
-        with pytest.raises(StructuralError) as err:
-            require_finite(np.array([1.0, np.nan]), "weights")
-        assert "weights" in str(err.value)
-
-
 class TestGlorot:
     def test_bound_and_shape(self):
         rng = Rng(0)
@@ -123,11 +115,6 @@ class TestRng:
         a = Rng(1).uniform(size=100)
         b = Rng(2).uniform(size=100)
         assert not np.array_equal(a, b)
-
-    def test_derive_matches_direct_construction(self):
-        np.testing.assert_array_equal(
-            Rng(55).derive(9).uniform(size=64), Rng(55, stream=9).uniform(size=64)
-        )
 
     def test_permutation_is_permutation(self):
         perm = Rng(3).permutation(100)

@@ -17,7 +17,6 @@ from reqqual.search import (
     enumerate_space,
     parse_eval_mode,
     preset_candidate,
-    preset_config,
     run_search,
 )
 from reqqual.train import TrainConfig
@@ -161,8 +160,9 @@ def test_presets_are_members_of_default_space():
         assert preset_candidate(prop) in space
 
 
-def test_preset_config_builds_configs():
-    model, train = preset_config(PropertyName.COMPLETE, vocab_size=47, seed=3)
+def test_preset_candidate_builds_configs():
+    candidate = preset_candidate(PropertyName.COMPLETE)
+    model, train = candidate.model_config(47), candidate.train_config(seed=3)
     assert model.cell is CellType.GRU
     assert model.vocab_size == 47
     assert model.embedding_dim == 64
