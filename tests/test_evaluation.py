@@ -203,6 +203,12 @@ def test_cross_validate_seed_changes_folds():
     assert a.plan.assignments != b.plan.assignments
 
 
+def test_cross_validate_keeps_curves_on_request():
+    result = cross_validate(cv_dataset(24), PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, k=2, seed=0)
+    assert len(result.curves) == 2
+    assert all(len(curve.records) == CV_TRAIN.epochs for curve in result.curves)
+
+
 def test_cross_validate_k_exceeding_data_rejected():
     with pytest.raises(ParameterError, match="need >= k=10"):
         cross_validate(cv_dataset(6), PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, k=10, seed=0)
