@@ -19,6 +19,7 @@ exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from dataclasses import dataclass, field
@@ -57,18 +58,6 @@ class ModelArtifact:
             )
 
 
-def _config_to_json(config: ModelConfig) -> dict:
-    return {
-        "cell": config.cell.value,
-        "vocab_size": config.vocab_size,
-        "embedding_dim": config.embedding_dim,
-        "hidden_units": config.hidden_units,
-        "num_layers": config.num_layers,
-        "dropout_p": config.dropout_p,
-        "num_classes": config.num_classes,
-    }
-
-
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
     manifest = []
     offset = 0
@@ -83,7 +72,7 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "property": artifact.property.value,
-        "model_config": _config_to_json(artifact.model_config),
+        "model_config": dataclasses.asdict(artifact.model_config),
         "vocabulary": artifact.vocabulary.to_json(),
         "tagger_mode": artifact.tagger_mode.value,
         "seed": artifact.seed,

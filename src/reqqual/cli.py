@@ -19,6 +19,7 @@ failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -47,7 +48,6 @@ from .textpipe import (
     encode,
     encode_text,
     tag_text,
-    tagger_for,
 )
 from .train import fit, gradient_check
 
@@ -66,10 +66,10 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
                        help="start from the shipped best configuration for the property")
     group.add_argument("--cell", choices=["lstm", "gru"], help="recurrent cell type")
     group.add_argument("--epochs", type=int)
-    group.add_argument("--lr", type=float, help="learning rate")
-    group.add_argument("--embedding", type=int, help="embedding dimension")
-    group.add_argument("--layers", type=int, help="number of recurrent layers")
-    group.add_argument("--units", type=int, help="hidden units per layer")
+    group.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
+    group.add_argument("--embedding", dest="embedding_dim", type=int, help="embedding dimension")
+    group.add_argument("--layers", dest="num_layers", type=int, help="number of recurrent layers")
+    group.add_argument("--units", dest="num_units", type=int, help="hidden units per layer")
     group.add_argument("--dropout", type=float, help="dropout on the final hidden state")
     group.add_argument("--batch-size", type=int, default=32)
     group.add_argument("--clip-norm", type=float, default=5.0,
@@ -78,15 +78,8 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_candidate(args: argparse.Namespace, prop: PropertyName) -> Candidate:
     base = preset_candidate(prop) if args.preset == "paper" else _FALLBACK
-    return Candidate(
-        cell=CellType(args.cell) if args.cell else base.cell,
-        epochs=args.epochs if args.epochs is not None else base.epochs,
-        learning_rate=args.lr if args.lr is not None else base.learning_rate,
-        embedding_dim=args.embedding if args.embedding is not None else base.embedding_dim,
-        num_layers=args.layers if args.layers is not None else base.num_layers,
-        num_units=args.units if args.units is not None else base.num_units,
-        dropout=args.dropout if args.dropout is not None else base.dropout,
-    )
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(Candidate)}
+    return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _clip_norm(args: argparse.Namespace) -> float | None:
@@ -99,8 +92,7 @@ def _clip_norm(args: argparse.Namespace) -> float | None:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.input)
     mode = TaggerMode(args.tagger)
-    tagger = tagger_for(mode)
-    tagged = [(req.id, tag_text(req.text, mode, tagger)) for req in dataset.requirements]
+    tagged = [(req.id, tag_text(req.text, mode)) for req in dataset.requirements]
 
     if args.vocab_in:
         vocab = TagVocabulary.load(args.vocab_in)
@@ -159,9 +151,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.input)
     mode = TaggerMode(args.tagger)
     vocab, encoded = encode_labeled(dataset, prop, mode)
-    if not encoded:
-        raise ParameterError(f"no requirements labeled for {prop.value!r} in {args.input}")
-
     candidate = _resolve_candidate(args, prop)
     model_cfg = candidate.model_config(vocab.size)
     train_cfg = candidate.train_config(args.seed, args.batch_size, _clip_norm(args))
@@ -285,7 +274,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     config = ModelConfig(
-        cell=CellType(args.cell),
+        cell=args.cell,
         vocab_size=args.vocab,
         embedding_dim=args.embedding,
         hidden_units=args.units,

@@ -24,7 +24,7 @@ from .artifact import ModelArtifact
 from .corpus import Dataset, FoldPlan, PropertyName, holdout_split, make_folds
 from .errors import ParameterError, StructuralError
 from .nn import ModelConfig, classify, forward_batch
-from .textpipe import TaggerMode, build_vocabulary, encode, tag_text, tagger_for
+from .textpipe import TaggerMode, build_vocabulary, encode, tag_text
 from .train import LossCurve, TrainConfig, fit
 
 
@@ -164,23 +164,11 @@ class CvResult:
     plan: FoldPlan | None = None
 
     def to_json(self) -> dict:
-        config = {
-            "model": {
-                "cell": self.model_config.cell.value,
-                "vocab_size": self.model_config.vocab_size,
-                "embedding_dim": self.model_config.embedding_dim,
-                "hidden_units": self.model_config.hidden_units,
-                "num_layers": self.model_config.num_layers,
-                "dropout_p": self.model_config.dropout_p,
-            },
-            "train": {
-                "learning_rate": self.train_config.learning_rate,
-                "epochs": self.train_config.epochs,
-                "batch_size": self.train_config.batch_size,
-                "clip_norm": self.train_config.clip_norm,
-            },
-            "k": self.k,
-        }
+        model = dataclasses.asdict(self.model_config)
+        del model["num_classes"]
+        train = dataclasses.asdict(self.train_config)
+        del train["seed"]  # each fold's seed derives from the report's
+        config = {"model": model, "train": train, "k": self.k}
         folds = [dict(m.to_json(), fold=i) for i, m in enumerate(self.folds)]
         return {
             "property": self.property.value,
@@ -202,9 +190,10 @@ def encode_labeled(dataset: Dataset, prop: PropertyName, mode: TaggerMode):
 
     Returns (vocabulary, {id: (encoded sequence, class)}).
     """
-    tagger = tagger_for(mode)
     labeled = dataset.labeled(prop)
-    tagged = {req.id: tag_text(req.text, mode, tagger) for req in labeled}
+    if not labeled:
+        raise ParameterError(f"no requirements labeled for {prop.value!r}")
+    tagged = {req.id: tag_text(req.text, mode) for req in labeled}
     vocab = build_vocabulary(tagged.values())
     encoded = {
         req.id: (encode(tagged[req.id], vocab), class_of(req.labels[prop]))
@@ -234,14 +223,11 @@ def cross_validate(
     vocab, encoded = encode_labeled(dataset, prop, tagger_mode)
     config = dataclasses.replace(model_config, vocab_size=vocab.size)
 
-    all_ids = set(plan.assignments)
     folds: list[Metrics] = []
     curves: list[LossCurve] = []
     for i in range(k):
         test_ids = plan.fold_members(i)
         train_ids = plan.complement(i)
-        if set(test_ids) & set(train_ids) or set(test_ids) | set(train_ids) != all_ids:
-            raise StructuralError(f"fold {i} does not partition the labeled subset")
         fold_cfg = dataclasses.replace(train_config, seed=seed ^ i)
         params, curve = fit([encoded[rid] for rid in train_ids], config, fold_cfg)
         probs, _ = forward_batch([encoded[rid][0] for rid in test_ids], params)
@@ -250,7 +236,7 @@ def cross_validate(
         folds.append(compute_metrics(predictions, labels, probs))
         curves.append(curve)
 
-    best_fold = max(range(k), key=lambda i: (folds[i].accuracy, -i))
+    best_fold = max(range(k), key=lambda i: folds[i].accuracy)
     return CvResult(
         property=prop,
         model_config=config,
@@ -340,9 +326,8 @@ def evaluate_model(
         )
     if len(dataset) == 0:
         raise ParameterError("cannot evaluate on an empty dataset")
-    tagger = tagger_for(artifact.tagger_mode)
     sequences = [
-        encode(tag_text(req.text, artifact.tagger_mode, tagger), artifact.vocabulary)
+        encode(tag_text(req.text, artifact.tagger_mode), artifact.vocabulary)
         for req in dataset.requirements
     ]
     probs, _ = forward_batch(sequences, artifact.params)

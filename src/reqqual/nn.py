@@ -78,11 +78,18 @@ class ModelConfig:
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self):
-        object.__setattr__(self, "cell", CellType(self.cell))
+        try:
+            object.__setattr__(self, "cell", CellType(self.cell))
+        except ValueError:
+            raise ParameterError(
+                f"cell must be one of {[c.value for c in CellType]}, got {self.cell!r}"
+            ) from None
         for name in ("vocab_size", "embedding_dim", "hidden_units", "num_layers", "num_classes"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.dropout_p, bool) or not isinstance(self.dropout_p, numbers.Real):
+            raise ParameterError(f"dropout_p must be a real number, got {self.dropout_p!r}")
         if self.vocab_size < 3:
             raise ParameterError(f"vocab_size must be >= 3 (PAD, UNK, one tag), got {self.vocab_size}")
         if self.embedding_dim < 1:

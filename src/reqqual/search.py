@@ -15,8 +15,9 @@ trial index), so trials could run in parallel without changing results.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +57,7 @@ _SAMPLER_STREAM = 1 << 32
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point of the grid: everything varied during search."""
+    """One point of the grid; valid when its model and training configs build."""
 
     cell: CellType
     epochs: int
@@ -67,7 +68,8 @@ class Candidate:
     dropout: float
 
     def __post_init__(self):
-        object.__setattr__(self, "cell", CellType(self.cell))
+        object.__setattr__(self, "cell", self.model_config(vocab_size=3).cell)
+        self.train_config(seed=0)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(
@@ -91,15 +93,7 @@ class Candidate:
         )
 
 
-_AXES = (
-    "cell",
-    "epochs",
-    "learning_rate",
-    "embedding_dim",
-    "num_layers",
-    "num_units",
-    "dropout",
-)
+_AXES = tuple(f.name for f in dataclasses.fields(Candidate))
 
 
 @dataclass(frozen=True)
@@ -115,19 +109,23 @@ class SearchSpace:
     dropout: tuple = DEFAULT_DROPOUTS
 
     def __post_init__(self):
-        object.__setattr__(self, "cell", tuple(CellType(c) for c in self.cell))
-        for axis in _AXES[1:]:
-            object.__setattr__(self, axis, tuple(getattr(self, axis)))
+        # a value is valid when it makes a valid candidate out of a valid one
+        probe = PRESETS[PropertyName.COMPLETE]
         for axis in _AXES:
-            if not getattr(self, axis):
-                raise ParameterError(f"search space axis {axis!r} must be non-empty")
+            values = getattr(self, axis)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ParameterError(
+                    f"search space axis {axis!r} must be a non-empty list, got {values!r}"
+                )
+            try:
+                checked = [dataclasses.replace(probe, **{axis: v}) for v in values]
+            except ParameterError as exc:
+                raise ParameterError(f"search space axis {axis!r}: {exc}") from None
+            object.__setattr__(self, axis, tuple(getattr(c, axis) for c in checked))
 
     @property
     def size(self) -> int:
-        n = 1
-        for axis in _AXES:
-            n *= len(getattr(self, axis))
-        return n
+        return math.prod(len(getattr(self, axis)) for axis in _AXES)
 
     def config_at(self, index: int) -> Candidate:
         """Candidate at `index` in lexicographic order over the axes.
@@ -152,7 +150,6 @@ class SearchSpace:
 
     def to_json(self) -> dict:
         obj = {axis: list(getattr(self, axis)) for axis in _AXES}
-        obj["cell"] = [c.value for c in self.cell]
         obj["optimizer"] = FIXED_OPTIMIZER
         obj["loss"] = FIXED_LOSS
         return obj
@@ -181,8 +178,7 @@ class SearchSpace:
 
 def enumerate_space(space: SearchSpace) -> tuple[int, Iterator[Candidate]]:
     """Size of the grid plus an iterator over it in lexicographic order."""
-    combos = itertools.product(*(getattr(space, axis) for axis in _AXES))
-    return space.size, (Candidate(**dict(zip(_AXES, combo))) for combo in combos)
+    return space.size, (space.config_at(i) for i in range(space.size))
 
 
 # ------------------------------------------------------------------ presets
@@ -389,7 +385,7 @@ def run_search(
             )
         )
 
-    best_index = max(range(len(trials)), key=lambda i: (trials[i].objective, -i))
+    best_index = max(range(len(trials)), key=lambda i: trials[i].objective)
     return SearchReport(
         property=prop,
         space=space,

@@ -24,6 +24,7 @@ Two tagger modes ship:
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -179,6 +180,7 @@ _VERB_EXPECT_TRIGGERS = {"MD", "TO"}
 _VERB_RETAG = {"NN", "NNS", "NNP", "NNPS", "JJ", "VBD", "VBN", "VBZ", "VBP"}
 
 
+@functools.cache
 def _load_lexicon() -> dict[str, str]:
     raw = resources.files("reqqual.data").joinpath("tag_lexicon.json").read_text("utf-8")
     data = json.loads(raw)
@@ -194,8 +196,8 @@ def _load_lexicon() -> dict[str, str]:
 class RulesTagger:
     """Deterministic POS tagger: lexicon, then shape/suffix rules, then context."""
 
-    def __init__(self, lexicon: dict[str, str] | None = None):
-        self.lexicon = dict(lexicon) if lexicon is not None else _load_lexicon()
+    def __init__(self):
+        self.lexicon = _load_lexicon()  # loaded once, shared by every tagger; never mutated
 
     def _lexical_tag(self, surface: str) -> str:
         if surface in _PUNCT_TAGS:
@@ -251,11 +253,6 @@ def parse_pretagged(text: str) -> list[Token]:
             raise ParameterError(f"pretagged token {item!r} is not of the form surface/TAG")
         tokens.append(Token(surface=surface, tag=tag))
     return tokens
-
-
-def tagger_for(mode: TaggerMode) -> RulesTagger | None:
-    """The tagger to reuse across `tag_text` calls under `mode` (None if it needs none)."""
-    return RulesTagger() if TaggerMode(mode) is TaggerMode.RULES else None
 
 
 def tag_text(text: str, mode: TaggerMode, tagger: RulesTagger | None = None) -> list[Token]:
@@ -418,11 +415,7 @@ def decode(sequence: EncodedSequence, vocab: TagVocabulary) -> list[str]:
 
 
 def encode_text(
-    text: str,
-    vocab: TagVocabulary,
-    mode: TaggerMode = TaggerMode.RULES,
-    tagger: RulesTagger | None = None,
-    stats: EncodeStats | None = None,
+    text: str, vocab: TagVocabulary, mode: TaggerMode = TaggerMode.RULES
 ) -> EncodedSequence:
     """Full pipeline: tokenize (or parse pretagged), tag, encode."""
-    return encode(tag_text(text, mode, tagger), vocab, stats)
+    return encode(tag_text(text, mode), vocab)

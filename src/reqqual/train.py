@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -31,6 +32,7 @@ from .nn import (
 )
 
 PROB_FLOOR = 1e-12  # keeps -log finite on saturated mispredictions
+FD_STEP = 1e-6  # central-difference step of the gradient check
 
 # Adam at the defaults of Kingma & Ba (arXiv:1412.6980)
 ADAM_BETA1 = 0.9
@@ -47,14 +49,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ParameterError(f"clip_norm must be positive or None, got {self.clip_norm}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("learning_rate", "clip_norm"):
+            value = getattr(self, name)
+            if name == "clip_norm" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                0 < value < math.inf
+            ):
+                raise ParameterError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def loss(probs, true_class: int) -> float:
@@ -253,7 +259,7 @@ class GradCheckReport:
 
 
 def finite_difference_gradients(
-    params: ParameterSet, ids: Sequence[int], true_class: int, eps: float = 1e-6
+    params: ParameterSet, ids: Sequence[int], true_class: int
 ) -> dict[str, np.ndarray]:
     """Central differences of the cross-entropy loss for every element."""
     numeric = {}
@@ -262,12 +268,12 @@ def finite_difference_gradients(
         flat, gflat = arr.reshape(-1), grad.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + eps
+            flat[j] = orig + FD_STEP
             plus, _ = forward(ids, params)
-            flat[j] = orig - eps
+            flat[j] = orig - FD_STEP
             minus, _ = forward(ids, params)
             flat[j] = orig
-            gflat[j] = (loss(plus, true_class) - loss(minus, true_class)) / (2.0 * eps)
+            gflat[j] = (loss(plus, true_class) - loss(minus, true_class)) / (2.0 * FD_STEP)
         numeric[name] = grad
     return numeric
 
@@ -306,7 +312,6 @@ def gradient_check(
     seed: int,
     tolerance: float = 1e-5,
     sequence_length: int = 3,
-    eps: float = 1e-6,
 ) -> GradCheckReport:
     """Analytic BPTT vs central finite differences on a random instance."""
     if config.dropout_p != 0.0:
@@ -320,5 +325,5 @@ def gradient_check(
     true_class = int(data_rng.integers(0, 2))
     _, trace = forward(ids, params)
     analytic = backward(trace, true_class, params)
-    numeric = finite_difference_gradients(params, ids, true_class, eps=eps)
+    numeric = finite_difference_gradients(params, ids, true_class)
     return compare_gradients(analytic, numeric, tolerance)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -211,6 +212,60 @@ def test_train_divergence_exits_1(tmp_path, workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--clip-norm", "nan", "clip_norm"),
+    ("--lr", "nan", "learning_rate"),
+])
+def test_train_non_finite_flag_exits_2(tmp_path, workdir, capsys, flag, value, field):
+    code = main([
+        "train", "--input", str(workdir.dataset), "--property", "singular",
+        "--out", str(tmp_path / "m.rqm"), "--epochs", "1", "--units", "4",
+        "--embedding", "4", flag, value,
+    ])
+    assert code == 2
+    assert f"error: {field} must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "m.rqm").exists()
+
+
+def test_train_without_labels_for_property_exits_2(tmp_path, capsys):
+    data = tmp_path / "unlabeled.jsonl"
+    data.write_text(json.dumps({"id": "r1", "text": "The system shall log errors."}) + "\n")
+    code = main([
+        "train", "--input", str(data), "--property", "singular", "--out", str(tmp_path / "m.rqm"),
+    ])
+    assert code == 2
+    assert "error: no requirements labeled for 'singular'" in capsys.readouterr().err
+
+
+def test_config_json_keys_order_and_values(workdir, tmp_path):
+    flags = [
+        "--input", str(workdir.dataset), "--property", "singular", "--seed", "4",
+        "--cell", "lstm", "--layers", "2", "--units", "6", "--embedding", "5",
+        "--dropout", "0.25", "--epochs", "1", "--lr", "0.02", "--batch-size", "16",
+        "--clip-norm", "2.5",
+    ]
+    model = tmp_path / "m.rqm"
+    assert main(["train", "--out", str(model), *flags]) == 0
+    raw = model.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 6)
+    header = json.loads(raw[10 : 10 + header_len])
+    model_config = [
+        ("cell", "lstm"), ("vocab_size", 16), ("embedding_dim", 5), ("hidden_units", 6),
+        ("num_layers", 2), ("dropout_p", 0.25),
+    ]
+    assert list(header["model_config"].items()) == model_config + [("num_classes", 2)]
+
+    report = tmp_path / "cv.json"
+    assert main(["crossval", "--folds", "2", "--report", str(report), *flags]) == 0
+    config = json.loads(report.read_text("utf-8"))["config"]
+    assert list(config) == ["model", "train", "k"]
+    assert list(config["model"].items()) == model_config
+    assert list(config["train"].items()) == [
+        ("learning_rate", 0.02), ("epochs", 1), ("batch_size", 16), ("clip_norm", 2.5),
+    ]
+    assert config["k"] == 2
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -402,6 +457,34 @@ def test_search_exhaustive_rejects_budget(workdir, tmp_path, capsys):
     ])
     assert code == 2
     assert "takes no budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis,value", [
+    ("cell", ["rnn"]),
+    ("cell", "gru"),
+    ("cell", [["gru"]]),
+    ("epochs", ["a"]),
+    ("epochs", [2.5]),
+    ("epochs", 5),
+    ("epochs", [True]),
+    ("learning_rate", [None]),
+    ("learning_rate", ["0.1"]),
+    ("dropout", ["x"]),
+])
+def test_search_space_bad_value_exits_2(workdir, tmp_path, capsys, axis, value):
+    space = tmp_path / "space.json"
+    tiny_space(space)
+    obj = json.loads(space.read_text("utf-8"))
+    space.write_text(json.dumps(dict(obj, **{axis: value})), "utf-8")
+    trials = tmp_path / "trials.csv"
+    code = main([
+        "search", "--input", str(workdir.dataset), "--property", "singular",
+        "--mode", "exhaustive", "--eval-mode", "cv:2",
+        "--space", str(space), "--trials-out", str(trials),
+    ])
+    assert code == 2
+    assert f"error: search space axis {axis!r}" in capsys.readouterr().err
+    assert not trials.exists()
 
 
 def test_search_missing_input_exits_2(tmp_path, capsys):

@@ -187,6 +187,10 @@ class TestConfigAndParameters:
             dict(good, dropout_p=1.0),
             dict(good, dropout_p=-0.1),
             dict(good, num_classes=3),
+            dict(good, cell="rnn"),
+            dict(good, cell=["gru"]),
+            dict(good, dropout_p="x"),
+            dict(good, dropout_p=None),
         ):
             with pytest.raises(ParameterError):
                 ModelConfig(**bad)

@@ -40,6 +40,23 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.01, epochs=5, batch_size=0)
         with pytest.raises(ParameterError):
             TrainConfig(learning_rate=0.01, epochs=5, clip_norm=0.0)
+        for bad in (
+            dict(learning_rate=math.nan),
+            dict(learning_rate=math.inf),
+            dict(learning_rate=None),
+            dict(learning_rate="0.1"),
+            dict(learning_rate=True),
+            dict(clip_norm=math.nan),
+            dict(clip_norm=math.inf),
+            dict(epochs=True),
+            dict(epochs=2.5),
+            dict(epochs="5"),
+            dict(batch_size=True),
+            dict(batch_size=8.0),
+        ):
+            field = next(iter(bad))
+            with pytest.raises(ParameterError, match=field):
+                TrainConfig(**dict(dict(learning_rate=0.01, epochs=5), **bad))
 
 
 class TestLoss:
