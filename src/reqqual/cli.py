@@ -29,7 +29,9 @@ from typing import Sequence
 from .artifact import ModelArtifact, load_model, save_model
 from .corpus import (
     PROPERTIES,
+    Dataset,
     PropertyName,
+    Requirement,
     SignalPlan,
     generate_synthetic,
     holdout_split,
@@ -37,21 +39,21 @@ from .corpus import (
     save_dataset,
 )
 from .errors import ParameterError, ReqqualError, TrainingError
-from .evaluation import classify, cross_validate, encode_labeled, evaluate_model, save_predictions
-from .nn import CellType, ModelConfig, forward_batch
-from .search import Candidate, SearchSpace, preset_candidate, run_search
-from .textpipe import (
-    EncodeStats,
-    TaggerMode,
-    TagVocabulary,
-    build_vocabulary,
-    encode,
-    encode_text,
-    tag_text,
+from .evaluation import (
+    METRIC_NAMES,
+    cross_validate,
+    encode_labeled,
+    evaluate_model,
+    save_predictions,
 )
-from .train import fit, gradient_check
+from .nn import CellType, ModelConfig
+from .search import Candidate, SearchSpace, preset_candidate, run_search
+from .textpipe import TaggerMode, TagVocabulary, build_vocabulary, encode, tag_text
+from .train import TrainConfig, fit, gradient_check
 
 _PROPERTY_CHOICES = [p.value for p in PROPERTIES]
+_TAGGER_CHOICES = [m.value for m in TaggerMode]
+_CELL_CHOICES = [c.value for c in CellType]
 
 # defaults used when neither flags nor --preset pick a value
 _FALLBACK = Candidate(
@@ -64,15 +66,19 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_argument_group("model configuration")
     group.add_argument("--preset", choices=["paper"],
                        help="start from the shipped best configuration for the property")
-    group.add_argument("--cell", choices=["lstm", "gru"], help="recurrent cell type")
+    group.add_argument("--cell", choices=_CELL_CHOICES, help="recurrent cell type")
     group.add_argument("--epochs", type=int)
     group.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
     group.add_argument("--embedding", dest="embedding_dim", type=int, help="embedding dimension")
     group.add_argument("--layers", dest="num_layers", type=int, help="number of recurrent layers")
     group.add_argument("--units", dest="num_units", type=int, help="hidden units per layer")
     group.add_argument("--dropout", type=float, help="dropout on the final hidden state")
-    group.add_argument("--batch-size", type=int, default=32)
-    group.add_argument("--clip-norm", type=float, default=5.0,
+    _add_batch_flags(group)
+
+
+def _add_batch_flags(group: argparse._ActionsContainer) -> None:
+    group.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    group.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm,
                        help="global gradient-norm cap (0 disables clipping)")
 
 
@@ -99,10 +105,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     else:
         vocab = build_vocabulary(tokens for _, tokens in tagged)
 
-    stats = EncodeStats()
     with Path(args.out).open("w", encoding="utf-8", newline="\n") as handle:
         for rid, tokens in tagged:
-            sequence = encode(tokens, vocab, stats)
+            sequence = encode(tokens, vocab)
             record = {
                 "id": rid,
                 "ids": list(sequence.ids),
@@ -117,9 +122,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     print("tag frequencies:")
     for tag, count in frequencies.most_common():
         print(f"  {tag:8s} {count}")
-    pct = 100.0 * stats.unknown / stats.total if stats.total else 0.0
-    print(f"unknown tags: {stats.unknown} of {stats.total} ({pct:.2f}%)"
-          + (f" {sorted(stats.unknown_tags)}" if stats.unknown_tags else ""))
+    total = sum(frequencies.values())
+    unknown_tags = sorted(tag for tag in frequencies if tag not in vocab)
+    missing = sum(frequencies[tag] for tag in unknown_tags)
+    pct = 100.0 * missing / total if total else 0.0
+    print(f"unknown tags: {missing} of {total} ({pct:.2f}%)"
+          + (f" {unknown_tags}" if unknown_tags else ""))
     vocab_note = args.vocab_out or args.vocab_in
     print(f"encoded {len(tagged)} requirements -> {args.out} (vocabulary: {vocab_note})")
     return 0
@@ -254,10 +262,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     artifact = load_model(args.model)
     if args.text is not None:
-        sequence = encode_text(args.text, artifact.vocabulary, artifact.tagger_mode)
-        (probs,), _ = forward_batch([sequence], artifact.params)
-        verdict = "satisfied" if classify(probs) == 0 else "violated"
-        print(f"{artifact.property.value}: {verdict} (prob_positive {float(probs[0]):.4f})")
+        single = Dataset("text", (Requirement("text", args.text),))
+        _, (record,) = evaluate_model(artifact, single)
+        verdict = "satisfied" if record["predicted"] else "violated"
+        prob = record["prob_positive"]
+        print(f"{artifact.property.value}: {verdict} (prob_positive {prob:.4f})")
         return 0
     if not args.out:
         raise ParameterError("predict --input requires --out for the predictions file")
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     vocab = p.add_mutually_exclusive_group(required=True)
     vocab.add_argument("--vocab-out", help="build a vocabulary and write it here")
     vocab.add_argument("--vocab-in", help="reuse an existing vocabulary JSON")
-    p.add_argument("--tagger", choices=["rules", "pretagged"], default="rules")
+    p.add_argument("--tagger", choices=_TAGGER_CHOICES, default="rules")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
@@ -323,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="loss-curve CSV (default: model path with .curve.csv)")
     p.add_argument("--val-fraction", type=float, default=0.0,
                    help="hold out this fraction for the validation-loss column")
-    p.add_argument("--tagger", choices=["rules", "pretagged"], default="rules")
+    p.add_argument("--tagger", choices=_TAGGER_CHOICES, default="rules")
     p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
@@ -342,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--report", required=True, help="report JSON output")
-    p.add_argument("--tagger", choices=["rules", "pretagged"], default="rules")
+    p.add_argument("--tagger", choices=_TAGGER_CHOICES, default="rules")
     p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p)
     p.set_defaults(func=cmd_crossval)
@@ -354,13 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="trials to sample (random mode)")
     p.add_argument("--eval-mode", default="cv:10", help="cv:K or holdout:F")
     p.add_argument("--objective", default="accuracy",
-                   choices=["precision", "recall", "accuracy", "f1", "mse"])
+                   choices=METRIC_NAMES)
     p.add_argument("--space", help="search-space JSON (default: full grid)")
     p.add_argument("--trials-out", default="trials.csv", help="trials CSV output")
-    p.add_argument("--tagger", choices=["rules", "pretagged"], default="rules")
+    p.add_argument("--tagger", choices=_TAGGER_CHOICES, default="rules")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--clip-norm", type=float, default=5.0)
+    _add_batch_flags(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("predict", help="classify requirements with a saved model")
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
-    p.add_argument("--cell", choices=["lstm", "gru"], default="gru")
+    p.add_argument("--cell", choices=_CELL_CHOICES, default="gru")
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vocab", type=int, default=12)

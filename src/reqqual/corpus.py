@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import enum
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DatasetError, ParameterError
 from .numcore import Rng
@@ -197,20 +198,42 @@ class FoldPlan:
         return counts
 
 
+def _shuffled_labeled(
+    dataset: Dataset, prop: PropertyName, seed: int
+) -> tuple[list[Requirement], Sequence[int]]:
+    """The subset labeled for `prop` and its seeded permutation, one stream per property."""
+    labeled = dataset.labeled(prop)
+    return labeled, Rng(seed, stream=property_index(prop)).permutation(len(labeled))
+
+
 def make_folds(dataset: Dataset, prop: PropertyName, k: int, seed: int) -> FoldPlan:
     """Seeded shuffle + round-robin assignment; fold sizes differ by at most 1."""
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
-    labeled = dataset.labeled(prop)
+    labeled, perm = _shuffled_labeled(dataset, prop, seed)
     if len(labeled) < k:
         raise ParameterError(
             f"{len(labeled)} requirements labeled for {PropertyName(prop).value!r}, need >= k={k}"
         )
-    rng = Rng(seed, stream=property_index(prop))
-    perm = rng.permutation(len(labeled))
     fold_of = {labeled[perm[j]].id: j % k for j in range(len(labeled))}
     assignments = {r.id: fold_of[r.id] for r in labeled}  # dataset order
     return FoldPlan(k=k, assignments=assignments)
+
+
+def _cut(
+    dataset: Dataset, prop: PropertyName, seed: int,
+    fractions: Sequence[float], names: Sequence[str],
+) -> tuple[Dataset, ...]:
+    """Shuffled labeled subset in parts of round(f * n) per fraction, then the rest."""
+    labeled, perm = _shuffled_labeled(dataset, prop, seed)
+    if not labeled:
+        raise ParameterError(f"no requirements labeled for {PropertyName(prop).value!r}")
+    n = len(labeled)
+    bounds = [0, *itertools.accumulate(int(round(f * n)) for f in fractions), n]
+    return tuple(
+        Dataset(f"{dataset.name}-{name}", tuple(labeled[i] for i in sorted(perm[lo:hi])))
+        for name, lo, hi in zip(names, bounds, bounds[1:])
+    )
 
 
 def holdout_split(
@@ -219,16 +242,7 @@ def holdout_split(
     """Split the labeled subset into train/test, |train| = round(fraction * n)."""
     if not (0.0 < train_fraction < 1.0):
         raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    labeled = dataset.labeled(prop)
-    if not labeled:
-        raise ParameterError(f"no requirements labeled for {PropertyName(prop).value!r}")
-    rng = Rng(seed, stream=property_index(prop))
-    perm = rng.permutation(len(labeled))
-    n_train = int(round(train_fraction * len(labeled)))
-    train_pos = sorted(perm[:n_train])
-    test_pos = sorted(perm[n_train:])
-    train = Dataset(f"{dataset.name}-train", tuple(labeled[i] for i in train_pos))
-    test = Dataset(f"{dataset.name}-test", tuple(labeled[i] for i in test_pos))
+    train, test = _cut(dataset, prop, seed, (train_fraction,), ("train", "test"))
     return train, test
 
 
@@ -243,24 +257,8 @@ def threeway_split(
         raise ParameterError(f"fractions must be three positive values, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ParameterError(f"fractions must sum to 1, got {fractions}")
-    labeled = dataset.labeled(prop)
-    if not labeled:
-        raise ParameterError(f"no requirements labeled for {PropertyName(prop).value!r}")
-    rng = Rng(seed, stream=property_index(prop))
-    perm = rng.permutation(len(labeled))
-    n = len(labeled)
-    n_train = int(round(fractions[0] * n))
-    n_test = int(round(fractions[1] * n))
-    parts = (
-        sorted(perm[:n_train]),
-        sorted(perm[n_train : n_train + n_test]),
-        sorted(perm[n_train + n_test :]),
-    )
     names = ("train", "test", "validation")
-    return tuple(
-        Dataset(f"{dataset.name}-{label}", tuple(labeled[i] for i in positions))
-        for label, positions in zip(names, parts)
-    )  # type: ignore[return-value]
+    return _cut(dataset, prop, seed, fractions[:2], names)  # type: ignore[return-value]
 
 
 # --- synthetic corpus -------------------------------------------------------

@@ -44,6 +44,7 @@ differences.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -157,14 +158,19 @@ class ParameterSet:
     @classmethod
     def initialize(cls, config: ModelConfig, rng: Rng) -> "ParameterSet":
         """Glorot-uniform matrices, zero biases except the LSTM forget bias at 1.0."""
+        manifest = parameter_manifest(config)
         arrays: dict[str, np.ndarray] = {}
-        for name, shape in parameter_manifest(config):
-            if len(shape) == 2:
-                arrays[name] = glorot_uniform(shape[0], shape[1], rng)
-            elif name.endswith(".bf"):
-                arrays[name] = np.ones(shape)
-            else:
-                arrays[name] = np.zeros(shape)
+        try:
+            for name, shape in manifest:
+                if len(shape) == 2:
+                    arrays[name] = glorot_uniform(shape[0], shape[1], rng)
+                elif name.endswith(".bf"):
+                    arrays[name] = np.ones(shape)
+                else:
+                    arrays[name] = np.zeros(shape)
+        except (MemoryError, ValueError) as exc:  # numpy: "Unable to allocate", "array is too big"
+            count = sum(math.prod(shape) for _, shape in manifest)
+            raise ParameterError(f"cannot allocate a model of {count} parameters: {exc}") from None
         return cls(config=config, arrays=arrays)
 
     def layer(self, k: int) -> dict[str, np.ndarray]:
@@ -203,7 +209,6 @@ class LstmStepCache(NamedTuple):
     o: np.ndarray
     g: np.ndarray
     c_prev: np.ndarray
-    c: np.ndarray
     tc: np.ndarray  # tanh(c)
 
 
@@ -227,7 +232,7 @@ def _lstm_step(x_t, state: CellState, layer: Mapping[str, np.ndarray]):
     c = f * state.c + i * g
     tc = tanh(c)
     h = o * tc
-    return CellState(h=h, c=c), LstmStepCache(xcat, f, i, o, g, state.c, c, tc)
+    return CellState(h=h, c=c), LstmStepCache(xcat, f, i, o, g, state.c, tc)
 
 
 def _gru_step(x_t, h_prev, layer: Mapping[str, np.ndarray]):

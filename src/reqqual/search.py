@@ -48,8 +48,6 @@ DEFAULT_CELLS = (CellType.LSTM, CellType.GRU)
 FIXED_OPTIMIZER = "adam"
 FIXED_LOSS = "cross-entropy"
 
-OBJECTIVES = METRIC_NAMES
-
 # stream used to draw the random-mode candidate sample; far above any
 # trial index so trial streams never collide with it
 _SAMPLER_STREAM = 1 << 32
@@ -82,7 +80,10 @@ class Candidate:
         )
 
     def train_config(
-        self, seed: int, batch_size: int = 32, clip_norm: float | None = 5.0
+        self,
+        seed: int,
+        batch_size: int = TrainConfig.batch_size,
+        clip_norm: float | None = TrainConfig.clip_norm,
     ) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.learning_rate,
@@ -121,7 +122,12 @@ class SearchSpace:
                 checked = [dataclasses.replace(probe, **{axis: v}) for v in values]
             except ParameterError as exc:
                 raise ParameterError(f"search space axis {axis!r}: {exc}") from None
-            object.__setattr__(self, axis, tuple(getattr(c, axis) for c in checked))
+            normalised = tuple(getattr(c, axis) for c in checked)
+            repeated = [v for i, v in enumerate(normalised) if v in normalised[:i]]
+            if repeated:
+                shown = getattr(repeated[0], "value", repeated[0])  # 'gru', not the enum repr
+                raise ParameterError(f"search space axis {axis!r} repeats the value {shown!r}")
+            object.__setattr__(self, axis, normalised)
 
     @property
     def size(self) -> int:
@@ -313,8 +319,8 @@ def run_search(
     eval_mode: str = "cv:10",
     objective: str = "accuracy",
     seed: int = 0,
-    batch_size: int = 32,
-    clip_norm: float | None = 5.0,
+    batch_size: int = TrainConfig.batch_size,
+    clip_norm: float | None = TrainConfig.clip_norm,
     tagger_mode: TaggerMode = TaggerMode.RULES,
     keep_results: bool = False,
 ) -> SearchReport:
@@ -328,9 +334,9 @@ def run_search(
     """
     prop = PropertyName(prop)
     space = space or SearchSpace()
-    if objective not in OBJECTIVES:
+    if objective not in METRIC_NAMES:
         raise ParameterError(
-            f"objective must be one of {sorted(OBJECTIVES)}, got {objective!r}"
+            f"objective must be one of {sorted(METRIC_NAMES)}, got {objective!r}"
         )
     kind, value = parse_eval_mode(eval_mode)
     size = space.size

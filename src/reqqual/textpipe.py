@@ -27,7 +27,7 @@ import enum
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -359,21 +359,6 @@ def build_vocabulary(tagged: Iterable[Sequence[Token]]) -> TagVocabulary:
     return TagVocabulary(tags=tuple(tags))
 
 
-@dataclass
-class EncodeStats:
-    """Running count of out-of-vocabulary tags seen while encoding."""
-
-    total: int = 0
-    unknown: int = 0
-    unknown_tags: dict[str, int] = field(default_factory=dict)
-
-    def record(self, tag: str, known: bool) -> None:
-        self.total += 1
-        if not known:
-            self.unknown += 1
-            self.unknown_tags[tag] = self.unknown_tags.get(tag, 0) + 1
-
-
 @dataclass(frozen=True)
 class EncodedSequence:
     """Non-empty tag-index sequence; PAD never appears in an unpadded sequence."""
@@ -392,21 +377,11 @@ class EncodedSequence:
         return len(self.ids)
 
 
-def encode(
-    tokens: Sequence[Token],
-    vocab: TagVocabulary,
-    stats: EncodeStats | None = None,
-) -> EncodedSequence:
+def encode(tokens: Sequence[Token], vocab: TagVocabulary) -> EncodedSequence:
     """Map each token's tag to its vocabulary index, UNK for unseen tags."""
     if not tokens:
         raise ParameterError("cannot encode an empty token list")
-    ids = []
-    for token in tokens:
-        known = token.tag in vocab
-        if stats is not None:
-            stats.record(token.tag, known)
-        ids.append(vocab.index_of(token.tag))
-    return EncodedSequence(ids=tuple(ids))
+    return EncodedSequence(ids=[vocab.index_of(token.tag) for token in tokens])
 
 
 def decode(sequence: EncodedSequence, vocab: TagVocabulary) -> list[str]:

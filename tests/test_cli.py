@@ -116,6 +116,37 @@ def test_preprocess_with_vocab_in_substitutes_unknown(workdir, tmp_path, capsys)
     assert 1 in ids  # UNK substitutions present
 
 
+def test_preprocess_vocab_in_reports_unknown_tags(tmp_path, capsys):
+    data = tmp_path / "pretagged.jsonl"
+    data.write_text(
+        json.dumps({"id": "r1", "text": "a/DT b/NN c/NN"}) + "\n"
+        + json.dumps({"id": "r2", "text": "f/VB d/MD e/VB"}) + "\n",
+        "utf-8",
+    )
+    vocab_path = tmp_path / "vocab.json"
+    TagVocabulary(("<PAD>", "<UNK>", "DT", "NN")).save(vocab_path)
+    code = main([
+        "preprocess", "--input", str(data), "--out", str(tmp_path / "encoded.jsonl"),
+        "--vocab-in", str(vocab_path), "--tagger", "pretagged",
+    ])
+    assert code == 0
+    assert "unknown tags: 3 of 6 (50.00%) ['MD', 'VB']" in capsys.readouterr().out.splitlines()
+
+
+def test_preprocess_vocab_in_on_empty_dataset(tmp_path, capsys):
+    data = tmp_path / "empty.jsonl"
+    data.write_text("", "utf-8")
+    vocab_path = tmp_path / "vocab.json"
+    TagVocabulary(("<PAD>", "<UNK>", "DT")).save(vocab_path)
+    out = tmp_path / "encoded.jsonl"
+    code = main([
+        "preprocess", "--input", str(data), "--out", str(out), "--vocab-in", str(vocab_path),
+    ])
+    assert code == 0
+    assert "unknown tags: 0 of 0 (0.00%)" in capsys.readouterr().out.splitlines()
+    assert out.read_text("utf-8") == ""
+
+
 def test_preprocess_missing_input_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     code = main([
@@ -224,6 +255,29 @@ def test_train_non_finite_flag_exits_2(tmp_path, workdir, capsys, flag, value, f
     ])
     assert code == 2
     assert f"error: {field} must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "m.rqm").exists()
+
+
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate")
+
+
+@pytest.mark.parametrize("embedding,exhaust_memory", [
+    ("100000000000000000", False),  # numpy refuses the size before allocating
+    ("8", True),
+], ids=["array-too-big", "memory-error"])
+def test_train_unallocatable_model_exits_2(
+    tmp_path, workdir, capsys, monkeypatch, embedding, exhaust_memory
+):
+    if exhaust_memory:
+        monkeypatch.setattr("reqqual.nn.glorot_uniform", _out_of_memory)
+    code = main([
+        "train", "--input", str(workdir.dataset), "--property", "singular",
+        "--out", str(tmp_path / "m.rqm"), "--epochs", "1", "--units", "4",
+        "--embedding", embedding,
+    ])
+    assert code == 2
+    assert re.search(r"error: cannot allocate a model of \d+ parameters", capsys.readouterr().err)
     assert not (tmp_path / "m.rqm").exists()
 
 
@@ -470,6 +524,7 @@ def test_search_exhaustive_rejects_budget(workdir, tmp_path, capsys):
     ("learning_rate", [None]),
     ("learning_rate", ["0.1"]),
     ("dropout", ["x"]),
+    ("epochs", [1, 1]),
 ])
 def test_search_space_bad_value_exits_2(workdir, tmp_path, capsys, axis, value):
     space = tmp_path / "space.json"

@@ -242,6 +242,24 @@ class TestSplits:
         with pytest.raises(ParameterError):
             threeway_split(ds, PropertyName.CORRECT, seed=0, fractions=(0.5, 0.3, 0.3))
 
+    def test_frozen_memberships(self):
+        # the seeded shuffle and the cuts fix which requirements land where
+        ds = generate_synthetic(12, seed=4)
+
+        def members(part):
+            return [int(r.id.removeprefix("synth-")) for r in part.requirements]
+
+        train, test = holdout_split(ds, PropertyName.COMPLETE, 0.75, seed=7)
+        assert (members(train), members(test)) == ([0, 1, 2, 3, 4, 5, 8, 9, 11], [6, 7, 10])
+        parts = threeway_split(ds, PropertyName.APPROPRIATE, seed=7, fractions=(0.5, 0.25, 0.25))
+        assert [members(p) for p in parts] == [[1, 2, 4, 7, 9, 11], [3, 5, 6], [0, 8, 10]]
+        assert [p.name for p in parts] == [
+            f"synthetic-n12-seed4-{name}" for name in ("train", "test", "validation")
+        ]
+        plan = make_folds(ds, PropertyName.SINGULAR, k=3, seed=7)
+        assert list(plan.assignments.values()) == [0, 1, 0, 0, 2, 2, 1, 0, 1, 2, 2, 1]
+        assert list(plan.assignments) == [r.id for r in ds.requirements]
+
 
 class TestSyntheticGenerator:
     def test_deterministic(self):

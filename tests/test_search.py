@@ -68,6 +68,13 @@ def test_empty_axis_rejected():
         SearchSpace(epochs=())
 
 
+def test_repeated_axis_value_rejected():
+    with pytest.raises(ParameterError, match=r"axis 'cell' repeats the value 'gru'$"):
+        SearchSpace(cell=("gru", CellType.GRU))
+    with pytest.raises(ParameterError, match=r"axis 'epochs' repeats the value 1$"):
+        SearchSpace(epochs=(1, 2, 1))
+
+
 def test_enumeration_matches_indexing():
     count, configs = enumerate_space(TINY)
     listed = list(configs)

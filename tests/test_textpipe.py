@@ -15,7 +15,6 @@ from reqqual.textpipe import (
     UNK_ID,
     UNK_TAG,
     EncodedSequence,
-    EncodeStats,
     RulesTagger,
     TaggerMode,
     TagVocabulary,
@@ -282,12 +281,8 @@ class TestEncoding:
         assert seq.ids == (2, 3)
 
     def test_unknown_maps_to_unk_and_counts(self):
-        stats = EncodeStats()
-        seq = encode([Token("a", "FW"), Token("b", "NN")], self.vocab(), stats)
+        seq = encode([Token("a", "FW"), Token("b", "NN")], self.vocab())
         assert seq.ids == (UNK_ID, 2)
-        assert stats.total == 2
-        assert stats.unknown == 1
-        assert stats.unknown_tags == {"FW": 1}
 
     def test_round_trip(self):
         vocab = self.vocab()
@@ -316,10 +311,8 @@ class TestEncoding:
         tagger = RulesTagger()
         tagged = [tagger.tag(tokenize(r.text)) for r in ds.requirements]
         vocab = build_vocabulary(tagged)
-        stats = EncodeStats()
         for tokens in tagged:
-            encode(tokens, vocab, stats)
-        assert stats.unknown == 0
+            assert UNK_ID not in encode(tokens, vocab).ids
 
     def test_encode_text_pipeline_deterministic(self):
         vocab = build_vocabulary(
