@@ -155,6 +155,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if not 0 <= args.val_fraction < 1:
+        raise ParameterError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
     prop = PropertyName(args.property)
     dataset = load_dataset(args.input)
     mode = TaggerMode(args.tagger)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -45,19 +46,11 @@ class Confusion:
 
     @classmethod
     def from_pairs(cls, predictions: Sequence[int], labels: Sequence[int]) -> "Confusion":
-        tp = tn = fp = fn = 0
-        for p, y in zip(predictions, labels):
-            if y == 0:
-                if p == 0:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if p == 0:
-                    fp += 1
-                else:
-                    tn += 1
-        return cls(tp=tp, tn=tn, fp=fp, fn=fn)
+        pairs = Counter((p == 0, y == 0) for p, y in zip(predictions, labels))
+        return cls(
+            tp=pairs[True, True], tn=pairs[False, False],
+            fp=pairs[True, False], fn=pairs[False, True],
+        )
 
     def to_json(self) -> dict:
         return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
@@ -202,6 +195,14 @@ def encode_labeled(dataset: Dataset, prop: PropertyName, mode: TaggerMode):
     return vocab, encoded
 
 
+def _fit_and_score(encoded, train_ids, test_ids, model_config, train_config):
+    """Fit on `train_ids`, score `test_ids` of `encoded`; returns (params, curve, Metrics)."""
+    params, curve = fit([encoded[rid] for rid in train_ids], model_config, train_config)
+    probs, _ = forward_batch([encoded[rid][0] for rid in test_ids], params)
+    labels = [encoded[rid][1] for rid in test_ids]
+    return params, curve, compute_metrics(classify(probs), labels, probs)
+
+
 def cross_validate(
     dataset: Dataset,
     prop: PropertyName,
@@ -226,14 +227,11 @@ def cross_validate(
     folds: list[Metrics] = []
     curves: list[LossCurve] = []
     for i in range(k):
-        test_ids = plan.fold_members(i)
-        train_ids = plan.complement(i)
         fold_cfg = dataclasses.replace(train_config, seed=seed ^ i)
-        params, curve = fit([encoded[rid] for rid in train_ids], config, fold_cfg)
-        probs, _ = forward_batch([encoded[rid][0] for rid in test_ids], params)
-        predictions = [classify(row) for row in probs]
-        labels = [encoded[rid][1] for rid in test_ids]
-        folds.append(compute_metrics(predictions, labels, probs))
+        _, curve, metrics = _fit_and_score(
+            encoded, plan.complement(i), plan.fold_members(i), config, fold_cfg
+        )
+        folds.append(metrics)
         curves.append(curve)
 
     best_fold = max(range(k), key=lambda i: folds[i].accuracy)
@@ -287,18 +285,17 @@ def holdout_evaluate(
     vocab, encoded = encode_labeled(dataset, prop, tagger_mode)
     config = dataclasses.replace(model_config, vocab_size=vocab.size)
     fit_cfg = dataclasses.replace(train_config, seed=seed)
-    params, curve = fit([encoded[r.id] for r in train_ds.requirements], config, fit_cfg)
-    test_pairs = [encoded[r.id] for r in test_ds.requirements]
-    probs, _ = forward_batch([seq for seq, _ in test_pairs], params)
-    predictions = [classify(row) for row in probs]
-    labels = [cls for _, cls in test_pairs]
+    params, curve, metrics = _fit_and_score(
+        encoded, [r.id for r in train_ds.requirements], [r.id for r in test_ds.requirements],
+        config, fit_cfg,
+    )
     return HoldoutResult(
         property=prop,
         model_config=config,
         train_config=fit_cfg,
         seed=seed,
         train_fraction=train_fraction,
-        metrics=compute_metrics(predictions, labels, probs),
+        metrics=metrics,
         train_size=len(train_ds),
         test_size=len(test_ds),
         params=params,
@@ -331,28 +328,17 @@ def evaluate_model(
         for req in dataset.requirements
     ]
     probs, _ = forward_batch(sequences, artifact.params)
-
-    records = []
-    eval_preds: list[int] = []
-    eval_labels: list[int] = []
-    eval_probs: list[np.ndarray] = []
-    for req, row in zip(dataset.requirements, probs):
-        predicted = classify(row)
-        label = req.label_for(artifact.property)
-        records.append({
-            "id": req.id,
-            "predicted": predicted == 0,
-            "prob_positive": float(row[0]),
-            "label": label,
-        })
-        if label is not None:
-            eval_preds.append(predicted)
-            eval_labels.append(class_of(label))
-            eval_probs.append(row)
-    metrics = None
-    if eval_preds:
-        metrics = compute_metrics(eval_preds, eval_labels, np.stack(eval_probs))
-    return metrics, records
+    predictions = classify(probs)
+    labels = [req.label_for(artifact.property) for req in dataset.requirements]
+    records = [
+        {"id": req.id, "predicted": p == 0, "prob_positive": p0, "label": y}
+        for req, p, p0, y in zip(dataset.requirements, predictions, probs[:, 0].tolist(), labels)
+    ]
+    rows = [i for i, y in enumerate(labels) if y is not None]
+    if not rows:
+        return None, records
+    classes = [class_of(labels[i]) for i in rows]
+    return compute_metrics([predictions[i] for i in rows], classes, probs[rows]), records
 
 
 def save_predictions(records: list[dict], path: str | Path) -> None:

@@ -178,9 +178,14 @@ class ParameterSet:
         return {n[len(prefix):]: a for n, a in self.arrays.items() if n.startswith(prefix)}
 
 
-def classify(probs) -> int:
-    """Argmax over the two class probabilities; an exact tie goes to class 0."""
-    return 0 if float(probs[0]) >= float(probs[1]) else 1
+def classify(probs) -> int | list[int]:
+    """Argmax over the two class probabilities; an exact tie goes to class 0.
+
+    One row ``(p0, p1)`` gives an int, a ``(B, 2)`` batch a list of B ints.
+    A row holding NaN goes to class 1.
+    """
+    probs = np.asarray(probs)
+    return np.where(probs[..., 0] >= probs[..., 1], 0, 1).tolist()
 
 
 def zero_gradients(config: ModelConfig) -> dict[str, np.ndarray]:

@@ -34,7 +34,7 @@ from .evaluation import (
 )
 from .nn import CellType, ModelConfig
 from .numcore import Rng
-from .textpipe import TaggerMode
+from .textpipe import TaggerMode, read_json
 from .train import TrainConfig
 
 DEFAULT_EPOCHS = (3, 4, 5, 10, 30, 40, 100)
@@ -170,6 +170,9 @@ class SearchSpace:
         missing = [axis for axis in _AXES if axis not in obj]
         if missing:
             raise StructuralError(f"search space file is missing fields: {missing}")
+        for key, fixed in (("optimizer", FIXED_OPTIMIZER), ("loss", FIXED_LOSS)):
+            if obj.get(key, fixed) != fixed:
+                raise ParameterError(f"search space {key} must be {fixed!r}, got {obj[key]!r}")
         return cls(**{axis: obj[axis] for axis in _AXES})
 
     def save(self, path: str | Path) -> None:
@@ -179,7 +182,7 @@ class SearchSpace:
 
     @classmethod
     def load(cls, path: str | Path) -> "SearchSpace":
-        return cls.from_json(json.loads(Path(path).read_text("utf-8")))
+        return cls.from_json(read_json(path, "search space"))
 
 
 def enumerate_space(space: SearchSpace) -> tuple[int, Iterator[Candidate]]:

@@ -320,6 +320,9 @@ class TagVocabulary:
         entries = {k: v for k, v in obj.items() if k != "version"}
         if not entries:
             raise StructuralError("vocabulary file has no tag entries")
+        for tag, index in entries.items():
+            if isinstance(index, bool) or not isinstance(index, int):
+                raise StructuralError(f"vocabulary index of {tag!r} is not an integer: {index!r}")
         indices = sorted(entries.values())
         if indices != list(range(len(entries))):
             raise StructuralError(f"vocabulary indices are not dense 0..{len(entries) - 1}")
@@ -333,14 +336,23 @@ class TagVocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "TagVocabulary":
-        path = Path(path)
-        if not path.exists():
-            raise StructuralError(f"vocabulary file not found: {path}")
-        try:
-            obj = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise StructuralError(f"vocabulary file {path} is not valid JSON: {exc.msg}") from exc
-        return cls.from_json(obj)
+        return cls.from_json(read_json(path, "vocabulary"))
+
+
+def read_json(path: str | Path, what: str):
+    """Parse the JSON document in `path`.
+
+    A missing file, bad UTF-8 or bad JSON raises StructuralError naming the file.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise StructuralError(f"{what} file not found: {path}")
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"{what} file {path} is not valid UTF-8 ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"{what} file {path} is not valid JSON: {exc.msg}") from exc
 
 
 def build_vocabulary(tagged: Iterable[Sequence[Token]]) -> TagVocabulary:

@@ -175,11 +175,9 @@ def _validate_data(data, what: str) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _mean_validation_loss(validation, params) -> float:
-    probs, _ = forward_batch([ids for ids, _ in validation], params)
-    labels = np.array([y for _, y in validation])
-    picked = probs[np.arange(len(validation)), labels]
-    return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
+def _cross_entropy(probs: np.ndarray, labels: Sequence[int]) -> np.ndarray:
+    """Per-row `loss` of a (B, 2) batch of softmax outputs."""
+    return -np.log(np.maximum(probs[np.arange(len(labels)), labels], PROB_FLOOR))
 
 
 def fit(
@@ -213,8 +211,7 @@ def fit(
             seqs = [data[i][0] for i in picks]
             labels = [data[i][1] for i in picks]
             probs, trace = forward_batch(seqs, params, mode=RunMode.TRAIN, rng=rng)
-            picked = probs[np.arange(len(seqs)), labels]
-            losses = -np.log(np.maximum(picked, PROB_FLOOR))
+            losses = _cross_entropy(probs, labels)
             grads = backward_batch(trace, labels, params)
             del trace  # free the per-step caches before the next batch builds its own
             if not np.isfinite(losses).all():
@@ -227,8 +224,10 @@ def fit(
                 clip_gradients(grads, train_config.clip_norm)
             adam_update(params, grads, state, train_config)
             loss_sum += float(losses.sum())
-            correct += sum(1 for row, y in zip(probs, labels) if classify(row) == y)
-        val_loss = None if val is None else _mean_validation_loss(val, params)
+            correct += sum(p == y for p, y in zip(classify(probs), labels))
+        val_loss = None if val is None else float(np.mean(_cross_entropy(
+            forward_batch([ids for ids, _ in val], params)[0], [y for _, y in val]
+        )))
         curve.append(
             EpochRecord(
                 epoch=epoch,
@@ -318,6 +317,8 @@ def gradient_check(
         raise ParameterError("gradient_check requires dropout_p = 0 (deterministic loss)")
     if sequence_length < 1:
         raise ParameterError("sequence_length must be >= 1")
+    if not 0 <= tolerance < math.inf:
+        raise ParameterError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     rng = Rng(seed)
     params = ParameterSet.initialize(config, rng)
     data_rng = Rng(seed, stream=1)

@@ -336,6 +336,9 @@ MALFORMED_HEADERS = {
     "metadata-is-array": lambda header: dict(header, metadata=[1, 2]),
     "num-layers-is-fraction": _set_config("num_layers", 1.5),
     "hidden-units-is-float": _set_config("hidden_units", 5.0),
+    "vocabulary-index-is-bool": lambda header: dict(
+        header, vocabulary=dict(header["vocabulary"], **{"<UNK>": True})
+    ),
 }
 
 

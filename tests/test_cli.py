@@ -147,6 +147,32 @@ def test_preprocess_vocab_in_on_empty_dataset(tmp_path, capsys):
     assert out.read_text("utf-8") == ""
 
 
+@pytest.mark.parametrize(
+    "entry", [{"NN": "2"}, {"<UNK>": True, "NN": 2}, {"NN": 2.0}],
+    ids=["index-is-string", "index-is-bool", "index-is-float"],
+)
+def test_preprocess_vocab_in_non_integer_index_exits_2(workdir, tmp_path, capsys, entry):
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(json.dumps({"version": 1, "<PAD>": 0, "<UNK>": 1, **entry}), "utf-8")
+    code = main([
+        "preprocess", "--input", str(workdir.dataset),
+        "--out", str(tmp_path / "o.jsonl"), "--vocab-in", str(vocab_path),
+    ])
+    assert code == 2
+    assert "is not an integer" in capsys.readouterr().err
+
+
+def test_preprocess_vocab_in_non_utf8_exits_2(workdir, tmp_path, capsys):
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_bytes(b"\xff\xfe{}")
+    code = main([
+        "preprocess", "--input", str(workdir.dataset),
+        "--out", str(tmp_path / "o.jsonl"), "--vocab-in", str(vocab_path),
+    ])
+    assert code == 2
+    assert f"error: vocabulary file {vocab_path} is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_preprocess_missing_input_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     code = main([
@@ -255,6 +281,18 @@ def test_train_non_finite_flag_exits_2(tmp_path, workdir, capsys, flag, value, f
     ])
     assert code == 2
     assert f"error: {field} must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "m.rqm").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.5", "1", "1.5"])
+def test_train_val_fraction_out_of_range_exits_2(tmp_path, workdir, capsys, value):
+    code = main([
+        "train", "--input", str(workdir.dataset), "--property", "singular",
+        "--out", str(tmp_path / "m.rqm"), "--epochs", "1", "--units", "4",
+        "--embedding", "4", "--val-fraction", value,
+    ])
+    assert code == 2
+    assert "error: --val-fraction must be in [0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "m.rqm").exists()
 
 
@@ -542,6 +580,35 @@ def test_search_space_bad_value_exits_2(workdir, tmp_path, capsys, axis, value):
     assert not trials.exists()
 
 
+@pytest.mark.parametrize("field,value", [("optimizer", "sgd"), ("loss", "hinge")])
+def test_search_space_fixed_field_exits_2(workdir, tmp_path, capsys, field, value):
+    space = tmp_path / "space.json"
+    tiny_space(space)
+    obj = json.loads(space.read_text("utf-8"))
+    space.write_text(json.dumps(dict(obj, **{field: value})), "utf-8")
+    trials = tmp_path / "trials.csv"
+    code = main([
+        "search", "--input", str(workdir.dataset), "--property", "singular",
+        "--mode", "exhaustive", "--eval-mode", "cv:2",
+        "--space", str(space), "--trials-out", str(trials),
+    ])
+    assert code == 2
+    assert f"error: search space {field} must be" in capsys.readouterr().err
+    assert not trials.exists()
+
+
+def test_search_space_non_utf8_exits_2(workdir, tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_bytes(b"\xff\xfe{}")
+    code = main([
+        "search", "--input", str(workdir.dataset), "--property", "singular",
+        "--mode", "exhaustive", "--eval-mode", "cv:2", "--space", str(space),
+        "--trials-out", str(tmp_path / "trials.csv"),
+    ])
+    assert code == 2
+    assert f"error: search space file {space} is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_search_missing_input_exits_2(tmp_path, capsys):
     code = main([
         "search", "--input", str(tmp_path / "nope.jsonl"), "--property", "singular",
@@ -567,6 +634,13 @@ def test_gradcheck_failure_exits_1(monkeypatch, capsys):
     code = main(["gradcheck", "--cell", "gru"])
     assert code == 1
     assert capsys.readouterr().out.startswith("fail")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_gradcheck_bad_tolerance_exits_2(tol, capsys):
+    code = main(["gradcheck", "--cell", "gru", "--tol", tol])
+    assert code == 2
+    assert "error: tolerance must be a finite number >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- parser

@@ -45,6 +45,31 @@ def test_classify_tie_goes_to_class_zero():
     assert classify([0.5, 0.5]) == 0
 
 
+# an exact tie, a NaN row and rows with one NaN; the parent's per-row rule
+# `0 if p0 >= p1 else 1` sends every NaN comparison to class 1
+FROZEN_PROBS = np.array([
+    [0.7, 0.3],
+    [0.5, 0.5],
+    [0.25, 0.75],
+    [np.nan, np.nan],
+    [np.nan, 0.4],
+    [0.4, np.nan],
+    [1.0, 0.0],
+])
+
+
+def test_classify_rows_of_a_frozen_array():
+    per_row = [classify(row) for row in FROZEN_PROBS]
+    assert per_row == [0, 0, 1, 1, 1, 1, 0]
+    assert all(type(c) is int for c in per_row)
+
+
+def test_classify_batch_matches_rows():
+    batch = classify(FROZEN_PROBS)
+    assert batch == [classify(row) for row in FROZEN_PROBS]
+    assert all(type(c) is int for c in batch)
+
+
 def test_class_of():
     assert class_of(True) == 0
     assert class_of(False) == 1
@@ -66,6 +91,19 @@ def test_confusion_orientation():
     # class 0 is the positive class
     counts = Confusion.from_pairs([0, 0, 1, 1], [0, 1, 0, 1])
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
+
+
+def test_confusion_counts_any_nonzero_class_as_negative():
+    assert Confusion.from_pairs([2, 0, 2], [0, 2, 2]) == Confusion(tp=0, tn=1, fp=1, fn=1)
+
+
+def test_confusion_numpy_and_bool_inputs():
+    expected = Confusion(tp=1, tn=1, fp=1, fn=1)
+    preds = np.array([0, 1, 0, 1], dtype=np.int64)
+    assert Confusion.from_pairs(preds, np.array([0, 0, 1, 1], dtype=np.int64)) == expected
+    counts = Confusion.from_pairs([0, 1, 0, 1], [False, False, True, True])
+    assert counts == expected
+    assert all(type(v) is int for v in counts.to_json().values())
 
 
 def test_metrics_frozen_example():
@@ -302,6 +340,27 @@ def test_evaluate_model_skips_unlabeled_in_metrics():
     assert len(records) == 3
     assert records[1]["label"] is None and records[2]["label"] is None
     assert metrics.counts.total == 1
+
+
+def test_evaluate_model_metrics_over_interleaved_labeled_rows():
+    base = cv_dataset(12)
+    requirements = []
+    for i, req in enumerate(base.requirements):
+        if i % 3 == 1:
+            req = Requirement(id=req.id, text=req.text)
+        elif i % 3 == 2:
+            req = Requirement(id=req.id, text=req.text, labels={PropertyName.COMPLETE: True})
+        requirements.append(req)
+    dataset = Dataset(name="interleaved", requirements=tuple(requirements))
+    metrics, records = evaluate_model(build_artifact(base), dataset)
+    labeled = [r for r in records if r["label"] is not None]
+    assert [r["id"] for r in labeled] == [req.id for req in base.requirements[::3]]
+    expected = compute_metrics(
+        [0 if r["predicted"] else 1 for r in labeled],
+        [class_of(r["label"]) for r in labeled],
+        [[r["prob_positive"], 1.0 - r["prob_positive"]] for r in labeled],
+    )
+    assert metrics == expected
 
 
 def test_evaluate_model_all_unlabeled_returns_none():
