@@ -122,9 +122,10 @@ def load_model(path: str | Path) -> ModelArtifact:
 
     if not isinstance(header, dict):
         raise ArtifactError(f"model header in {path} is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
+    header_version = header.get("format_version")
+    if type(header_version) is not int or header_version != FORMAT_VERSION:
         raise ArtifactError(
-            f"header format_version {header.get('format_version')!r} "
+            f"header format_version {header_version!r} "
             f"does not match container version {FORMAT_VERSION}"
         )
     try:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import io
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,45 +219,20 @@ def make_folds(dataset: Dataset, prop: PropertyName, k: int, seed: int) -> FoldP
     return FoldPlan(k=k, assignments=assignments)
 
 
-def _cut(
-    dataset: Dataset, prop: PropertyName, seed: int,
-    fractions: Sequence[float], names: Sequence[str],
-) -> tuple[Dataset, ...]:
-    """Shuffled labeled subset in parts of round(f * n) per fraction, then the rest."""
-    labeled, perm = _shuffled_labeled(dataset, prop, seed)
-    if not labeled:
-        raise ParameterError(f"no requirements labeled for {PropertyName(prop).value!r}")
-    n = len(labeled)
-    bounds = [0, *itertools.accumulate(int(round(f * n)) for f in fractions), n]
-    return tuple(
-        Dataset(f"{dataset.name}-{name}", tuple(labeled[i] for i in sorted(perm[lo:hi])))
-        for name, lo, hi in zip(names, bounds, bounds[1:])
-    )
-
-
 def holdout_split(
     dataset: Dataset, prop: PropertyName, train_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
     """Split the labeled subset into train/test, |train| = round(fraction * n)."""
     if not (0.0 < train_fraction < 1.0):
         raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    train, test = _cut(dataset, prop, seed, (train_fraction,), ("train", "test"))
-    return train, test
-
-
-def threeway_split(
-    dataset: Dataset,
-    prop: PropertyName,
-    seed: int,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> tuple[Dataset, Dataset, Dataset]:
-    """80/10/10-style train/test/validation split of the labeled subset."""
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ParameterError(f"fractions must be three positive values, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ParameterError(f"fractions must sum to 1, got {fractions}")
-    names = ("train", "test", "validation")
-    return _cut(dataset, prop, seed, fractions[:2], names)  # type: ignore[return-value]
+    labeled, perm = _shuffled_labeled(dataset, prop, seed)
+    if not labeled:
+        raise ParameterError(f"no requirements labeled for {PropertyName(prop).value!r}")
+    cut = int(round(train_fraction * len(labeled)))
+    return tuple(
+        Dataset(f"{dataset.name}-{name}", tuple(labeled[i] for i in sorted(part)))
+        for name, part in (("train", perm[:cut]), ("test", perm[cut:]))
+    )
 
 
 # --- synthetic corpus -------------------------------------------------------

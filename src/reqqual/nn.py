@@ -28,11 +28,13 @@ Training and inference run the batch kernel, forward_batch and
 backward_batch, after Appleyard et al., arXiv:1604.01946.  Tokens are tag
 ids, so layer 0's input term is a row of a V x H table per gate, E . U^T
 (E . W_x^T + b for LSTM, whose (H, H+N) weights split at call time into
-W_h = w[:, :H] and W_x = w[:, H:]); each step gathers it by id.  Each gate
-is its own matmul: concatenating the large weights was no faster and
-raised peak memory.  Rows run longest first, so finished rows are skipped
-instead of masked.  Backward keeps only the recurrent products inside the
-time loop and forms every weight gradient as one matmul after it.
+W_h = w[:, :H] and W_x = w[:, H:]); each step gathers it by id.  The
+sigmoid gates (GRU z|r, LSTM f|i|o) share one matmul by W^T, transposed
+once per call, and are stored apart from the tanh candidate (GRU s, LSTM
+g): numpy updates a column slice in place 2-3x slower than whole rows.
+Rows run longest first, so finished rows are skipped instead of masked.
+Backward keeps only the recurrent products inside the time loop and
+forms every weight gradient as one matmul after it.
 Inference keeps no caches, only h (and c) and the outputs of a layer that
 another layer reads.
 
@@ -461,7 +463,8 @@ class LayerTape(NamedTuple):
     """
 
     hs: np.ndarray  # (T+1, B, H) hidden states: hs[0] = 0, hs[t+1] after step t
-    gates: np.ndarray  # (tokens, G*H) packed gate activations, GRU z|r|s, LSTM f|i|o|g
+    gates: np.ndarray  # (tokens, S*H) packed sigmoid gates, GRU z|r, LSTM f|i|o
+    cands: np.ndarray  # (tokens, H) packed tanh candidates, GRU s, LSTM g
     cs: np.ndarray | None  # LSTM (T+1, B, H) memory cells; None for GRU
 
 
@@ -500,15 +503,10 @@ def _gate_arrays(arrays: Mapping[str, np.ndarray], k: int, config: ModelConfig):
     )
 
 
-def _project(x, us, biases, out):
-    """Gate p of out = x @ us[p].T (+ biases[p]): one matmul per gate, no weights joined."""
-    h = us[0].shape[0]
-    for p, u in enumerate(us):
-        part = out[..., p * h : (p + 1) * h]
-        np.matmul(x, u.T, out=part)
-        if biases is not None:
-            part += biases[p]
-    return out
+def _transposed(ws):
+    """W_1^T | W_2^T | ... as one contiguous array (concatenate copies a
+    transpose about 8x faster than ascontiguousarray)."""
+    return np.concatenate([w.T for w in ws], axis=1)
 
 
 def _step_inputs(k, below, params, us, biases, steps, active):
@@ -520,44 +518,53 @@ def _step_inputs(k, below, params, us, biases, steps, active):
     make the same calls on the same rows: BLAS results for a row can depend
     on the row count of the call, and the two modes must stay bit-identical.
     """
-    width = len(us) * params.config.hidden_units
+    bias = None if biases is None else np.concatenate(biases)
     if k == 0:
-        embedding = params.arrays["embedding"]
-        table = _project(embedding, us, biases, np.empty((len(embedding), width)))
+        table = np.concatenate([params.arrays["embedding"] @ u.T for u in us], axis=1)
+        if bias is not None:
+            table += bias
         for t, n in enumerate(active):
             yield table[steps[t, :n]]
     else:
-        row_inputs = np.empty((below.shape[1], width))
+        ut = _transposed(us)
         for t, n in enumerate(active):
-            yield _project(below[t, :n], us, biases, row_inputs[:n])
+            x = below[t, :n] @ ut
+            if bias is not None:
+                x += bias
+            yield x
 
 
-def _gru_rows(a, x, hp, ws):
-    """One GRU step of rows hp (n, H): fills a (n, 3H) with z|r|s, returns the new h."""
+def _gru_rows(zr, s, x, hp, wt, out):
+    """One GRU step of rows hp (n, H): fills zr (n, 2H) with z|r, s (n, H)
+    with s and out with the new h (out may be hp).  wt is (W_z^T | W_r^T, W_s^T)."""
     h = hp.shape[1]
-    zr, s = a[:, : 2 * h], a[:, 2 * h :]
-    np.matmul(hp, ws[0].T, out=a[:, :h])
-    np.matmul(hp, ws[1].T, out=a[:, h : 2 * h])
+    np.matmul(hp, wt[0], out=zr)
     zr += x[:, : 2 * h]
-    zr[...] = sigmoid(zr)
-    z, r = a[:, :h], a[:, h : 2 * h]
-    np.matmul(hp * r, ws[2].T, out=s)
+    sigmoid(zr, out=zr)
+    np.matmul(hp * zr[:, h:], wt[1], out=s)
     s += x[:, 2 * h :]
-    s[...] = tanh(s)
-    return (1.0 - z) * s + z * hp
+    np.tanh(s, out=s)
+    np.subtract(hp, s, out=out)  # h = s + z * (hp - s)
+    out *= zr[:, :h]
+    out += s
 
 
-def _lstm_rows(a, x, hp, cp, ws):
-    """One LSTM step of rows hp, cp (n, H): fills a (n, 4H) with f|i|o|g, returns (h, c)."""
+def _lstm_rows(fio, g, x, hp, cp, wt, h_out, c_out):
+    """One LSTM step of rows hp, cp (n, H): fills fio (n, 3H) with f|i|o, g (n, H)
+    with g, h_out and c_out (may be hp and cp) with the new h and c.  wt is
+    (W_f^T | W_i^T | W_o^T, W_g^T), recurrent parts only."""
     h = hp.shape[1]
-    for p, w in enumerate(ws):
-        np.matmul(hp, w.T, out=a[:, p * h : (p + 1) * h])
-    a += x
-    a[:, : 3 * h] = sigmoid(a[:, : 3 * h])
-    a[:, 3 * h :] = tanh(a[:, 3 * h :])
-    f, i, o, g = (a[:, p * h : (p + 1) * h] for p in range(4))
-    c = f * cp + i * g
-    return o * tanh(c), c
+    np.matmul(hp, wt[0], out=fio)
+    fio += x[:, : 3 * h]
+    sigmoid(fio, out=fio)
+    np.matmul(hp, wt[1], out=g)
+    g += x[:, 3 * h :]
+    np.tanh(g, out=g)
+    f, i, o = (fio[:, p * h : (p + 1) * h] for p in range(3))
+    np.multiply(f, cp, out=c_out)
+    c_out += i * g
+    np.tanh(c_out, out=h_out)
+    h_out *= o
 
 
 def forward_batch(
@@ -599,21 +606,23 @@ def forward_batch(
     below = None
     for k in range(config.num_layers):
         ws, us, biases = _gate_arrays(params.arrays, k, config)
+        wt = (_transposed(ws[:-1]), _transposed(ws[-1:]))  # the last gate is the candidate
         keep_hs = train or k < config.num_layers - 1  # backward or the next layer reads hs
         hs = np.zeros((t_max + 1 if keep_hs else 1, batch, h_units))
-        gates = np.empty((offsets[-1] if train else batch, len(ws) * h_units))
+        rows = offsets[-1] if train else batch
+        gates, cands = np.empty((rows, (len(ws) - 1) * h_units)), np.empty((rows, h_units))
         cs = None if gru else np.zeros((t_max + 1 if train else 1, batch, h_units))
         inputs = _step_inputs(k, below, params, us, biases, steps, active)
         for t, (n, x) in enumerate(zip(active, inputs)):
             i, j = (t, t + 1) if keep_hs else (0, 0)
-            a = gates[offsets[t] : offsets[t] + n] if train else gates[:n]
+            r = slice(offsets[t], offsets[t] + n) if train else slice(n)
             if gru:
-                hs[j, :n] = _gru_rows(a, x, hs[i, :n], ws)
+                _gru_rows(gates[r], cands[r], x, hs[i, :n], wt, hs[j, :n])
             else:
                 ci, cj = (t, t + 1) if train else (0, 0)
-                hs[j, :n], cs[cj, :n] = _lstm_rows(a, x, hs[i, :n], cs[ci, :n], ws)
+                _lstm_rows(gates[r], cands[r], x, hs[i, :n], cs[ci, :n], wt, hs[j, :n], cs[cj, :n])
         if train:
-            tapes.append(LayerTape(hs, gates, cs))
+            tapes.append(LayerTape(hs, gates, cands, cs))
         below = hs[1:]
 
     h_final = np.empty((batch, h_units))  # from the top layer's hs
@@ -643,48 +652,55 @@ def forward_batch(
     return probs, trace
 
 
-def _gru_rows_back(d, dh, a, hp, ws):
-    """Backward of one GRU step: fills d (n, 3H) with the pre-activation
-    gradients of z|r|s and returns dh_prev."""
+def _gru_rows_back(d_zr, da_s, dh, zr, s, hp, ws):
+    """Backward of one GRU step: fills d_zr (n, 2H) and da_s (n, H) with the
+    pre-activation gradients of z|r and s, returns dh_prev."""
     h = hp.shape[1]
-    z, r, s = a[:, :h], a[:, h : 2 * h], a[:, 2 * h :]
-    da_z, da_r, da_s = d[:, :h], d[:, h : 2 * h], d[:, 2 * h :]
-    da_s[...] = dh * (1.0 - z) * (1.0 - s**2)
+    dhz = dh * zr[:, :h]
+    np.multiply(dh - dhz, 1.0 - s * s, out=da_s)
     dq = da_s @ ws[2]
-    da_r[...] = dq * hp * r * (1.0 - r)
-    da_z[...] = dh * (hp - s) * z * (1.0 - z)
-    dh_prev = dh * z + dq * r
-    dh_prev += da_r @ ws[1]
-    dh_prev += da_z @ ws[0]
+    np.multiply(1.0 - zr, zr, out=d_zr)
+    d_zr *= np.concatenate([dh * (hp - s), dq * hp], axis=1)
+    dh_prev = d_zr[:, :h] @ ws[0]
+    dh_prev += d_zr[:, h:] @ ws[1]
+    dh_prev += dhz
+    dh_prev += dq * zr[:, h:]
     return dh_prev
 
 
-def _lstm_rows_back(d, dh, dc, a, cp, tc, ws):
-    """Backward of one LSTM step: fills d (n, 4H) with the pre-activation
-    gradients of f|i|o|g and returns (dh_prev, dc_prev)."""
+def _lstm_rows_back(d_fio, da_g, dh, dc, fio, g, cp, tc, ws):
+    """Backward of one LSTM step: fills d_fio (n, 3H) and da_g (n, H) with
+    the pre-activation gradients of f|i|o and g, turns dc into dc_prev in
+    place, returns dh_prev."""
     h = dh.shape[1]
-    f, i, o, g = (a[:, p * h : (p + 1) * h] for p in range(4))
-    dc = dc + dh * o * (1.0 - tc**2)
-    d[:, :h] = dc * cp * f * (1.0 - f)
-    d[:, h : 2 * h] = dc * g * i * (1.0 - i)
-    d[:, 2 * h : 3 * h] = dh * tc * o * (1.0 - o)
-    d[:, 3 * h :] = dc * i * (1.0 - g**2)
-    dh_prev = sum(d[:, p * h : (p + 1) * h] @ w for p, w in enumerate(ws))
-    return dh_prev, dc * f
+    f, i, o = (fio[:, p * h : (p + 1) * h] for p in range(3))
+    dc += dh * o * (1.0 - tc * tc)
+    np.multiply(1.0 - fio, fio, out=d_fio)
+    d_fio *= np.concatenate([dc * cp, dc * g, dh * tc], axis=1)
+    np.multiply(dc * i, 1.0 - g * g, out=da_g)
+    dh_prev = da_g @ ws[3]
+    for p in range(3):
+        dh_prev += d_fio[:, p * h : (p + 1) * h] @ ws[p]
+    dc *= f
+    return dh_prev
 
 
 def backward_batch(
     trace: BatchTrace,
     true_classes: Sequence[int],
     params: ParameterSet,
+    out: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Sum of per-sequence gradients over the batch (caller averages).
 
+    `out`, the result of an earlier call under the same configuration, is
+    zeroed and filled instead of allocating new gradients.
+
     The time loop does only the recurrent dh (and dc) products.  It stores
-    every step's pre-activation gradients in one packed (tokens, G*H) array,
-    and each weight gradient is then one matmul over all tokens.  At layer
-    0 the gradient of the input table, dTable = onehot(ids)^T . da, gives
-    dU = dTable^T . E and dE = dTable . U.
+    every step's pre-activation gradients packed like the tape's gates and
+    candidates, and each weight gradient is then one matmul over all tokens.
+    At layer 0 the gradient of gate p's input table, dTable_p =
+    onehot(ids)^T . da_p, gives dU_p = dTable_p^T . E and dE = sum_p dTable_p . U_p.
     """
     if trace.config != params.config:
         raise StructuralError("trace was produced under a different model configuration")
@@ -700,7 +716,10 @@ def backward_batch(
     if not np.isin(classes, (0, 1)).all():
         raise ParameterError("labels must be 0 or 1")
     h_units = config.hidden_units
-    grads = zero_gradients(config)
+    grads = zero_gradients(config) if out is None else out
+    if out is not None:
+        for g in out.values():
+            g.fill(0.0)
 
     dlogits = trace.probs.copy()
     dlogits[np.arange(batch), classes] -= 1.0
@@ -721,7 +740,7 @@ def backward_batch(
         tape = trace.layer_caches[k]
         ws, us, _ = _gate_arrays(params.arrays, k, config)
         gws, gus, gbs = _gate_arrays(grads, k, config)
-        da = np.empty_like(tape.gates)
+        d_gates, d_cands = np.empty_like(tape.gates), np.empty_like(tape.cands)
         dh = dh_final[trace.order] if d_out is None else np.zeros((batch, h_units))
         dc = np.zeros((batch, h_units))
         tcs = None if gru else tanh(tape.cs[1:])
@@ -729,14 +748,16 @@ def backward_batch(
             n = active[t]
             rows = slice(offsets[t], offsets[t] + n)
             dh_t = dh[:n] if d_out is None else dh[:n] + d_out[rows]
+            d_step, cached = (d_gates[rows], d_cands[rows]), (tape.gates[rows], tape.cands[rows])
             if gru:
-                dh[:n] = _gru_rows_back(da[rows], dh_t, tape.gates[rows], tape.hs[t, :n], ws)
+                dh[:n] = _gru_rows_back(*d_step, dh_t, *cached, tape.hs[t, :n], ws)
             else:
-                dh[:n], dc[:n] = _lstm_rows_back(
-                    da[rows], dh_t, dc[:n], tape.gates[rows], tape.cs[t, :n], tcs[t, :n], ws
+                dh[:n] = _lstm_rows_back(
+                    *d_step, dh_t, dc[:n], *cached, tape.cs[t, :n], tcs[t, :n], ws
                 )
 
-        parts = [da[:, p * h_units : (p + 1) * h_units] for p in range(len(ws))]
+        parts = [d_gates[:, p * h_units : (p + 1) * h_units] for p in range(len(ws) - 1)]
+        parts.append(d_cands)
         h_prev = tape.hs[:-1].reshape(-1, h_units)[live]
         if gru:  # W_s multiplies q = h_prev * r
             recurrent_inputs = [h_prev, h_prev, h_prev * tape.gates[:, h_units : 2 * h_units]]
@@ -749,10 +770,10 @@ def backward_batch(
 
         if k == 0:
             embedding = params.arrays["embedding"]
-            onehot = steps.reshape(-1)[live] == np.arange(config.vocab_size)[:, None]
-            d_table = onehot.astype(np.float64) @ da
-            for p, (u, gu) in enumerate(zip(us, gus)):
-                d_part = d_table[:, p * h_units : (p + 1) * h_units]
+            ids = steps.reshape(-1)[live]
+            onehot = (ids == np.arange(config.vocab_size)[:, None]).astype(np.float64)
+            for u, gu, part in zip(us, gus, parts):
+                d_part = onehot @ part
                 np.matmul(d_part.T, embedding, out=gu)
                 grads["embedding"] += d_part @ u
         else:

@@ -45,14 +45,16 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, overflow-safe on both tails."""
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic function as 0.5 * (1 + tanh(v / 2)), so neither
+    tail can overflow.  Writes to `out` when given, which may be `v`."""
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    if out is None:
+        out = np.empty_like(v)
+    np.multiply(v, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 

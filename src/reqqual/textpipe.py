@@ -313,7 +313,7 @@ class TagVocabulary:
         if not isinstance(obj, dict):
             raise StructuralError("vocabulary file must hold a JSON object")
         version = obj.get("version")
-        if version != VOCAB_FORMAT_VERSION:
+        if type(version) is not int or version != VOCAB_FORMAT_VERSION:  # true and 1.0 equal 1
             raise StructuralError(
                 f"unsupported vocabulary version {version!r}, expected {VOCAB_FORMAT_VERSION}"
             )
@@ -399,10 +399,3 @@ def encode(tokens: Sequence[Token], vocab: TagVocabulary) -> EncodedSequence:
 def decode(sequence: EncodedSequence, vocab: TagVocabulary) -> list[str]:
     """Tag strings for each id; inverse of encode for fully known tags."""
     return [vocab.tag_of(i) for i in sequence.ids]
-
-
-def encode_text(
-    text: str, vocab: TagVocabulary, mode: TaggerMode = TaggerMode.RULES
-) -> EncodedSequence:
-    """Full pipeline: tokenize (or parse pretagged), tag, encode."""
-    return encode(tag_text(text, mode), vocab)

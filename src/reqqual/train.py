@@ -38,6 +38,7 @@ FD_STEP = 1e-6  # central-difference step of the gradient check
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+ADAM_SLICE = 16_384  # elements per block of adam_update
 
 
 @dataclass(frozen=True)
@@ -87,22 +88,28 @@ def adam_update(
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[ParameterSet, AdamState]:
-    """One Adam step with bias correction, applied in place."""
+    """One Adam step with bias correction, applied in place.
+
+    Each tensor goes in blocks of whole rows, about ADAM_SLICE elements, so
+    the update's temporaries stay in cache instead of copying the tensor.
+    """
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     t_hat = state.t + 1
     for name, arr in params.arrays.items():
         g = grads[name]
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t_hat)
-        v_hat = v / (1.0 - b2**t_hat)
-        arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        rows = max(1, ADAM_SLICE // (arr.size // len(arr)))
+        for lo in range(0, len(arr), rows):
+            block = slice(lo, lo + rows)
+            gs, m, v, a = g[block], state.m[name][block], state.v[name][block], arr[block]
+            m *= b1
+            m += (1.0 - b1) * gs
+            v *= b2
+            v += (1.0 - b2) * gs * gs
+            m_hat = m / (1.0 - b1**t_hat)
+            v_hat = v / (1.0 - b2**t_hat)
+            a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     state.t = t_hat
     return params, state
 
@@ -201,6 +208,7 @@ def fit(
     curve = LossCurve()
     n = len(data)
     batch_count = (n + train_config.batch_size - 1) // train_config.batch_size
+    grads = None  # one set per fit; one per batch cost ~2 MB of page faults a batch
 
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(n)
@@ -212,7 +220,7 @@ def fit(
             labels = [data[i][1] for i in picks]
             probs, trace = forward_batch(seqs, params, mode=RunMode.TRAIN, rng=rng)
             losses = _cross_entropy(probs, labels)
-            grads = backward_batch(trace, labels, params)
+            grads = backward_batch(trace, labels, params, out=grads)
             del trace  # free the per-step caches before the next batch builds its own
             if not np.isfinite(losses).all():
                 raise TrainingError(

@@ -185,6 +185,17 @@ def test_header_version_mismatch(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_header_version_must_be_an_integer(tmp_path, capsys, version):
+    path = tmp_path / "model.rqm"
+    save_model(make_artifact(), path)
+    rewrite_header(path, lambda header: dict(header, format_version=version))
+    with pytest.raises(ArtifactError, match=f"header format_version {version!r} does not match"):
+        load_model(path)
+    assert main(["predict", "--model", str(path), "--text", "The system shall log."]) == 2
+    assert f"header format_version {version!r}" in capsys.readouterr().err
+
+
 def test_header_missing_field(tmp_path):
     artifact = make_artifact()
     path = tmp_path / "model.rqm"

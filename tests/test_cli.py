@@ -1,12 +1,17 @@
 """End-to-end command-line behavior, run in-process via main(argv)."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import reqqual
 from reqqual.artifact import load_model
 from reqqual.cli import main
 from reqqual.corpus import PROPERTIES, PropertyName, generate_synthetic, load_dataset, save_dataset
@@ -160,6 +165,18 @@ def test_preprocess_vocab_in_non_integer_index_exits_2(workdir, tmp_path, capsys
     ])
     assert code == 2
     assert "is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_preprocess_vocab_in_bool_or_float_version_exits_2(workdir, tmp_path, capsys, version):
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(json.dumps({"version": version, "<PAD>": 0, "<UNK>": 1}), "utf-8")
+    code = main([
+        "preprocess", "--input", str(workdir.dataset),
+        "--out", str(tmp_path / "o.jsonl"), "--vocab-in", str(vocab_path),
+    ])
+    assert code == 2
+    assert f"unsupported vocabulary version {version!r}" in capsys.readouterr().err
 
 
 def test_preprocess_vocab_in_non_utf8_exits_2(workdir, tmp_path, capsys):
@@ -659,3 +676,39 @@ def test_unknown_property_exits_2(workdir, tmp_path):
             "--out", str(tmp_path / "m.rqm"),
         ])
     assert excinfo.value.code == 2
+
+
+
+def _run_here(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+def _run_fresh(argv):
+    """(exit code, stdout, stderr) of the same command in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(reqqual.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "reqqual.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_matches_fresh_processes(workdir, tmp_path, capsys):
+    """main reuses one parser: synth, bad argv, then predict, as new processes run them."""
+    out = tmp_path / "synth.jsonl"
+    runs = [
+        ["synth", "--n", "6", "--out", str(out), "--seed", "5"],
+        ["synth", "--n", "six", "--out", str(out)],
+        ["predict", "--model", str(workdir.model), "--text", "The system shall log each request."],
+    ]
+    here = [(*_run_here(argv, capsys), out.read_bytes()) for argv in runs]
+    out.unlink()
+    fresh = [(*_run_fresh(argv), out.read_bytes()) for argv in runs]
+    assert [result[0] for result in here] == [0, 2, 0]
+    assert "invalid int value: 'six'" in here[1][2]
+    assert here == fresh

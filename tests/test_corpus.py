@@ -18,7 +18,6 @@ from reqqual.corpus import (
     load_dataset,
     make_folds,
     save_dataset,
-    threeway_split,
 )
 from reqqual.errors import DatasetError, ParameterError
 
@@ -228,20 +227,6 @@ class TestSplits:
             with pytest.raises(ParameterError):
                 holdout_split(ds, PropertyName.SINGULAR, bad, seed=0)
 
-    def test_threeway_sizes(self):
-        ds = generate_synthetic(100, seed=8)
-        train, test, val = threeway_split(ds, PropertyName.CORRECT, seed=3)
-        assert (len(train), len(test), len(val)) == (80, 10, 10)
-        ids = {r.id for r in train.requirements} | {r.id for r in test.requirements} | {
-            r.id for r in val.requirements
-        }
-        assert len(ids) == 100
-
-    def test_threeway_fraction_validation(self):
-        ds = generate_synthetic(10, seed=0)
-        with pytest.raises(ParameterError):
-            threeway_split(ds, PropertyName.CORRECT, seed=0, fractions=(0.5, 0.3, 0.3))
-
     def test_frozen_memberships(self):
         # the seeded shuffle and the cuts fix which requirements land where
         ds = generate_synthetic(12, seed=4)
@@ -251,11 +236,7 @@ class TestSplits:
 
         train, test = holdout_split(ds, PropertyName.COMPLETE, 0.75, seed=7)
         assert (members(train), members(test)) == ([0, 1, 2, 3, 4, 5, 8, 9, 11], [6, 7, 10])
-        parts = threeway_split(ds, PropertyName.APPROPRIATE, seed=7, fractions=(0.5, 0.25, 0.25))
-        assert [members(p) for p in parts] == [[1, 2, 4, 7, 9, 11], [3, 5, 6], [0, 8, 10]]
-        assert [p.name for p in parts] == [
-            f"synthetic-n12-seed4-{name}" for name in ("train", "test", "validation")
-        ]
+        assert (train.name, test.name) == ("synthetic-n12-seed4-train", "synthetic-n12-seed4-test")
         plan = make_folds(ds, PropertyName.SINGULAR, k=3, seed=7)
         assert list(plan.assignments.values()) == [0, 1, 0, 0, 2, 2, 1, 0, 1, 2, 2, 1]
         assert list(plan.assignments) == [r.id for r in ds.requirements]

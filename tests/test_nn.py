@@ -491,6 +491,37 @@ class TestBatchPath:
                 err_msg=name,
             )
 
+    @pytest.mark.parametrize("cell", list(CellType))
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_out_gradients_are_reused_and_equal_fresh(self, cell, layers):
+        _, params = build(cell, vocab=8, n=4, h=5, layers=layers, seed=17)
+        first, second = [(2, 3, 4), (5, 6, 7, 2, 3)], [(7, 3, 2, 6, 4), (3,), (4, 4)]
+        _, trace = forward_batch(first, params, mode=RunMode.TRAIN)
+        out = backward_batch(trace, [0, 1], params)
+        held = {name: g for name, g in out.items()}
+        _, trace = forward_batch(second, params, mode=RunMode.TRAIN)
+        reused = backward_batch(trace, [1, 0, 1], params, out=out)
+        fresh = backward_batch(trace, [1, 0, 1], params)
+        assert reused is out
+        for name, g in fresh.items():
+            assert reused[name] is held[name]
+            np.testing.assert_array_equal(reused[name], g, err_msg=name)
+
+    @pytest.mark.parametrize("cell", list(CellType))
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_train_equals_infer_bit_for_bit_at_b32_h64(self, cell, layers):
+        """Ragged lengths 1-18 at B=32, H=64, the singular preset's batch and width."""
+        config = ModelConfig(cell=cell, vocab_size=16, embedding_dim=32, hidden_units=64,
+                             num_layers=layers)
+        params = ParameterSet.initialize(config, Rng(29))
+        rng = Rng(30)
+        seqs = [rng.integers(1, 16, size=int(n)).tolist() for n in rng.integers(1, 19, size=32)]
+        p_infer, _ = forward_batch(seqs, params)
+        p_train, _ = forward_batch(seqs, params, mode=RunMode.TRAIN)
+        np.testing.assert_array_equal(p_infer, p_train)
+        reference = np.stack([forward(ids, params)[0] for ids in seqs])
+        np.testing.assert_allclose(p_infer, reference, rtol=0, atol=1e-10)
+
     def test_batch_dropout_coincides_with_loop(self):
         _, params = build(CellType.GRU, vocab=8, n=4, h=5, dropout=0.3, seed=19)
         seqs = [(2, 3, 4), (5, 6), (7, 3, 2, 6)]

@@ -40,6 +40,14 @@ class TestActivations:
         xs = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(sigmoid(xs) + sigmoid(-xs), 1.0, atol=1e-15)
 
+    def test_sigmoid_in_place_equals_fresh_output(self):
+        v = np.random.default_rng(3).normal(scale=8.0, size=(32, 96))
+        expected = sigmoid(v)
+        strided = v.copy()[:, ::2]  # a column slice, as the kernel's gate views are
+        assert sigmoid(v, out=v) is v
+        np.testing.assert_array_equal(v, expected)
+        np.testing.assert_array_equal(sigmoid(strided, out=strided), expected[:, ::2])
+
     def test_tanh_frozen_value(self):
         assert tanh(np.array([1.0]))[0] == pytest.approx(TANH_1, abs=1e-16)
 

@@ -22,7 +22,6 @@ from reqqual.textpipe import (
     build_vocabulary,
     decode,
     encode,
-    encode_text,
     parse_pretagged,
     tag_text,
     tokenize,
@@ -261,6 +260,13 @@ class TestVocabulary:
         with pytest.raises(StructuralError, match="version"):
             TagVocabulary.load(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_load_rejects_bool_and_float_version(self, tmp_path, version):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"version": version, "<PAD>": 0, "<UNK>": 1}))
+        with pytest.raises(StructuralError, match=f"unsupported vocabulary version {version!r}"):
+            TagVocabulary.load(path)
+
     def test_load_rejects_sparse_indices(self, tmp_path):
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps({"version": 1, "<PAD>": 0, "<UNK>": 1, "NN": 3}))
@@ -313,11 +319,3 @@ class TestEncoding:
         vocab = build_vocabulary(tagged)
         for tokens in tagged:
             assert UNK_ID not in encode(tokens, vocab).ids
-
-    def test_encode_text_pipeline_deterministic(self):
-        vocab = build_vocabulary(
-            [RulesTagger().tag(tokenize("The system shall respond."))]
-        )
-        a = encode_text("The system shall respond.", vocab)
-        b = encode_text("The system shall respond.", vocab)
-        assert a == b

@@ -122,6 +122,29 @@ class TestAdam:
             adam_update(params, {"theta": np.array([np.nan])}, state,
                         TrainConfig(learning_rate=0.1, epochs=1))
 
+    @pytest.mark.parametrize("shape", [(3 * train_mod.ADAM_SLICE + 5,), (700, 100)],
+                             ids=["vector", "matrix"])
+    def test_sliced_update_equals_whole_tensor_formula(self, shape):
+        rng = np.random.default_rng(9)
+        theta = rng.normal(size=shape)
+        params = SimpleNamespace(arrays={"theta": theta.copy()})
+        state = AdamState(m={"theta": np.zeros(shape)}, v={"theta": np.zeros(shape)})
+        cfg = TrainConfig(learning_rate=0.01, epochs=1)
+        b1, b2, eps = train_mod.ADAM_BETA1, train_mod.ADAM_BETA2, train_mod.ADAM_EPSILON
+        m, v = np.zeros(shape), np.zeros(shape)
+        for t in (1, 2, 3):
+            g = rng.normal(size=shape)
+            adam_update(params, {"theta": g}, state, cfg)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            theta -= cfg.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert theta.size > train_mod.ADAM_SLICE
+        np.testing.assert_array_equal(params.arrays["theta"], theta)
+        np.testing.assert_array_equal(state.m["theta"], m)
+        np.testing.assert_array_equal(state.v["theta"], v)
+
     def test_bias_correction_against_manual_two_steps(self):
         params, state = scalar_setup(theta=0.0)
         cfg = TrainConfig(learning_rate=0.5, epochs=1)
