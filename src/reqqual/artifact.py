@@ -116,7 +116,7 @@ def load_model(path: str | Path) -> ModelArtifact:
         raise ArtifactError(f"model file {path} is truncated inside the header")
     try:
         header = json.loads(raw[pos : pos + header_len].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ArtifactError(f"model header in {path} is not valid JSON") from exc
     pos += header_len
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -40,16 +39,18 @@ from .corpus import (
     save_dataset,
 )
 from .errors import ParameterError, ReqqualError, TrainingError
-from .evaluation import (
-    METRIC_NAMES,
-    cross_validate,
-    encode_labeled,
-    evaluate_model,
-    save_predictions,
-)
+from .evaluation import METRIC_NAMES, cross_validate, encode_labeled, evaluate_model
 from .nn import CellType, ModelConfig
 from .search import Candidate, SearchSpace, preset_candidate, run_search
-from .textpipe import TaggerMode, TagVocabulary, build_vocabulary, encode, tag_text
+from .textpipe import (
+    TaggerMode,
+    TagVocabulary,
+    build_vocabulary,
+    encode,
+    tag_text,
+    write_json,
+    write_jsonl,
+)
 from .train import TrainConfig, fit, gradient_check
 
 _PROPERTY_CHOICES = [p.value for p in PROPERTIES]
@@ -106,16 +107,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     else:
         vocab = build_vocabulary(tokens for _, tokens in tagged)
 
-    with Path(args.out).open("w", encoding="utf-8", newline="\n") as handle:
-        for rid, tokens in tagged:
-            sequence = encode(tokens, vocab)
-            record = {
-                "id": rid,
-                "ids": list(sequence.ids),
-                "tags": [token.tag for token in tokens],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
+    write_jsonl(args.out, (
+        {"id": rid, "ids": list(encode(tokens, vocab).ids), "tags": [t.tag for t in tokens]}
+        for rid, tokens in tagged
+    ))
     if args.vocab_out:
         vocab.save(args.vocab_out)
 
@@ -203,11 +198,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     prop = PropertyName(args.property) if args.property else None
     metrics, records = evaluate_model(artifact, dataset, prop)
     if args.out:
-        save_predictions(records, args.out)
+        write_jsonl(args.out, records)
     if args.report and metrics is not None:
-        Path(args.report).write_text(
-            json.dumps(metrics.to_json(), ensure_ascii=False, indent=2) + "\n", "utf-8"
-        )
+        write_json(args.report, metrics.to_json())
     suffix = f" -> {args.out}" if args.out else ""
     if metrics is None:
         print(f"{artifact.property.value}: no labeled requirements; "
@@ -275,7 +268,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ParameterError("predict --input requires --out for the predictions file")
     dataset = load_dataset(args.input)
     _, records = evaluate_model(artifact, dataset)
-    save_predictions(records, args.out)
+    write_jsonl(args.out, records)
     satisfied = sum(1 for r in records if r["predicted"])
     print(
         f"{artifact.property.value}: predicted {len(records)} requirements "
@@ -312,6 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "with recurrent networks over part-of-speech tags.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    dataset_flags = argparse.ArgumentParser(add_help=False)  # train, crossval, search
+    dataset_flags.add_argument("--input", required=True, help="dataset JSONL")
+    dataset_flags.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
+    dataset_flags.add_argument("--tagger", choices=_TAGGER_CHOICES, default="rules")
+    dataset_flags.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("preprocess", help="encode a dataset as tag-index sequences")
     p.add_argument("--input", required=True, help="dataset JSONL")
@@ -330,15 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="violation rate for a property (default 0.5 each)")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one property classifier")
-    p.add_argument("--input", required=True, help="dataset JSONL")
-    p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
+    p = sub.add_parser("train", parents=[dataset_flags], help="train one property classifier")
     p.add_argument("--out", required=True, help="model file output")
     p.add_argument("--curve", help="loss-curve CSV (default: model path with .curve.csv)")
     p.add_argument("--val-fraction", type=float, default=0.0,
                    help="hold out this fraction for the validation-loss column")
-    p.add_argument("--tagger", choices=_TAGGER_CHOICES, default="rules")
-    p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -351,19 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="metrics JSON output")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("crossval", help="k-fold cross-validation")
-    p.add_argument("--input", required=True, help="dataset JSONL")
-    p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
+    p = sub.add_parser("crossval", parents=[dataset_flags], help="k-fold cross-validation")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--report", required=True, help="report JSON output")
-    p.add_argument("--tagger", choices=_TAGGER_CHOICES, default="rules")
-    p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p)
     p.set_defaults(func=cmd_crossval)
 
-    p = sub.add_parser("search", help="hyperparameter search")
-    p.add_argument("--input", required=True, help="dataset JSONL")
-    p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
+    p = sub.add_parser("search", parents=[dataset_flags], help="hyperparameter search")
     p.add_argument("--mode", choices=["random", "exhaustive"], default="random")
     p.add_argument("--budget", type=int, help="trials to sample (random mode)")
     p.add_argument("--eval-mode", default="cv:10", help="cv:K or holdout:F")
@@ -371,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=METRIC_NAMES)
     p.add_argument("--space", help="search-space JSON (default: full grid)")
     p.add_argument("--trials-out", default="trials.csv", help="trials CSV output")
-    p.add_argument("--tagger", choices=_TAGGER_CHOICES, default="rules")
-    p.add_argument("--seed", type=int, default=0)
     _add_batch_flags(p)
     p.set_defaults(func=cmd_search)
 

@@ -36,6 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DatasetError, ParameterError
 from .numcore import Rng
+from .textpipe import write_jsonl
 
 
 class PropertyName(str, enum.Enum):
@@ -48,11 +49,6 @@ class PropertyName(str, enum.Enum):
 
 
 PROPERTIES: tuple[PropertyName, ...] = tuple(PropertyName)
-
-
-def property_index(prop: PropertyName) -> int:
-    """Stable 0..3 index, used to derive per-property RNG streams."""
-    return PROPERTIES.index(PropertyName(prop))
 
 
 @dataclass(frozen=True)
@@ -102,6 +98,8 @@ def _parse_record(raw: str, lineno: int) -> Requirement:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise DatasetError(f"line {lineno}: invalid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise DatasetError(f"line {lineno}: record must be a JSON object")
     extra = set(obj) - _RECORD_KEYS
@@ -127,6 +125,11 @@ def _parse_record(raw: str, lineno: int) -> Requirement:
     source = obj.get("source")
     if source is not None and not isinstance(source, str):
         raise DatasetError(f"line {lineno}: field 'source' must be a string")
+    for key in ("id", "text", "source"):
+        try:
+            (obj.get(key) or "").encode("utf-8")  # the writers cannot encode a lone surrogate
+        except UnicodeEncodeError:
+            raise DatasetError(f"line {lineno}: field {key!r} holds a lone surrogate") from None
     return Requirement(id=obj["id"], text=obj["text"], labels=labels, source=source)
 
 
@@ -157,24 +160,22 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
             )
         seen[req.id] = lineno
         requirements.append(req)
-    return Dataset(name=name or path.stem, requirements=tuple(requirements))
+    # file-name bytes that are not UTF-8 become U+FFFD: no writer can encode a lone surrogate
+    stem = path.stem.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    return Dataset(name=name or stem, requirements=tuple(requirements))
 
 
-def _record_to_json(req: Requirement) -> str:
+def _record_to_json(req: Requirement) -> dict:
     obj: dict = {"id": req.id, "text": req.text}
     obj["labels"] = {p.value: req.labels[p] for p in PROPERTIES if p in req.labels}
     if req.source is not None:
         obj["source"] = req.source
-    return json.dumps(obj, ensure_ascii=False)
+    return obj
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write canonical JSONL (UTF-8, LF); load -> save round-trips byte-for-byte."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        for req in dataset.requirements:
-            handle.write(_record_to_json(req))
-            handle.write("\n")
+    write_jsonl(path, (_record_to_json(req) for req in dataset.requirements))
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,8 @@ def _shuffled_labeled(
 ) -> tuple[list[Requirement], Sequence[int]]:
     """The subset labeled for `prop` and its seeded permutation, one stream per property."""
     labeled = dataset.labeled(prop)
-    return labeled, Rng(seed, stream=property_index(prop)).permutation(len(labeled))
+    stream = PROPERTIES.index(PropertyName(prop))
+    return labeled, Rng(seed, stream=stream).permutation(len(labeled))
 
 
 def make_folds(dataset: Dataset, prop: PropertyName, k: int, seed: int) -> FoldPlan:
@@ -274,7 +276,9 @@ class SignalPlan:
                     f"violation rate for unknown property {name!r}; "
                     f"expected one of {', '.join(p.value for p in PROPERTIES)}"
                 ) from None
-            if not (isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0):  # NaN fails too
+            if isinstance(rate, bool) or not (
+                isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0  # NaN fails too
+            ):
                 raise ParameterError(
                     f"violation rate for {prop.value} must lie in [0, 1], got {rate!r}"
                 )

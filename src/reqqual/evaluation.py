@@ -13,7 +13,6 @@ rather than raising.
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from .artifact import ModelArtifact
 from .corpus import Dataset, FoldPlan, PropertyName, holdout_split, make_folds
 from .errors import ParameterError, StructuralError
 from .nn import ModelConfig, classify, forward_batch
-from .textpipe import TaggerMode, build_vocabulary, encode, tag_text
+from .textpipe import TaggerMode, build_vocabulary, encode, tag_text, write_json
 from .train import LossCurve, TrainConfig, fit
 
 
@@ -56,6 +55,9 @@ class Confusion:
         return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
 
 
+METRIC_NAMES = ("precision", "recall", "accuracy", "f1", "mse")
+
+
 @dataclass(frozen=True)
 class Metrics:
     precision: float
@@ -67,14 +69,8 @@ class Metrics:
     zero_division: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        out = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "mse": self.mse,
-            "counts": self.counts.to_json(),
-        }
+        out = {name: getattr(self, name) for name in METRIC_NAMES}
+        out["counts"] = self.counts.to_json()
         if self.zero_division:
             out["zero_division"] = list(self.zero_division)
         return out
@@ -133,9 +129,6 @@ def compute_metrics(
     )
 
 
-METRIC_NAMES = ("precision", "recall", "accuracy", "f1", "mse")
-
-
 def aggregate_metrics(folds: Sequence[Metrics]) -> dict[str, float]:
     """Unweighted mean of each metric across folds."""
     return {
@@ -173,9 +166,7 @@ class CvResult:
         }
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), ensure_ascii=False, indent=2) + "\n", "utf-8"
-        )
+        write_json(path, self.to_json())
 
 
 def encode_labeled(dataset: Dataset, prop: PropertyName, mode: TaggerMode):
@@ -339,10 +330,3 @@ def evaluate_model(
         return None, records
     classes = [class_of(labels[i]) for i in rows]
     return compute_metrics([predictions[i] for i in rows], classes, probs[rows]), records
-
-
-def save_predictions(records: list[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")

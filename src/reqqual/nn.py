@@ -106,9 +106,6 @@ class ModelConfig:
         if self.num_classes != NUM_CLASSES:
             raise ParameterError(f"models are binary; num_classes must be 2, got {self.num_classes}")
 
-    def layer_input_dim(self, layer: int) -> int:
-        return self.embedding_dim if layer == 0 else self.hidden_units
-
 
 _LSTM_GATES = ("f", "i", "o", "c")
 _GRU_PARTS = ("z", "r", "s")
@@ -121,7 +118,7 @@ def parameter_manifest(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]
         ("embedding", (config.vocab_size, config.embedding_dim))
     ]
     for k in range(config.num_layers):
-        d = config.layer_input_dim(k)
+        d = config.embedding_dim if k == 0 else h  # layer k's input width
         if config.cell is CellType.LSTM:
             for gate in _LSTM_GATES:
                 specs.append((f"layer{k}.w{gate}", (h, h + d)))
@@ -348,7 +345,7 @@ def forward(
     return probs, trace
 
 
-def _check_trace(trace: ForwardTrace, params: ParameterSet) -> None:
+def _check_trace(trace: ForwardTrace | BatchTrace, params: ParameterSet) -> None:
     if trace.config != params.config:
         raise StructuralError("trace was produced under a different model configuration")
 
@@ -702,8 +699,7 @@ def backward_batch(
     At layer 0 the gradient of gate p's input table, dTable_p =
     onehot(ids)^T . da_p, gives dU_p = dTable_p^T . E and dE = sum_p dTable_p . U_p.
     """
-    if trace.config != params.config:
-        raise StructuralError("trace was produced under a different model configuration")
+    _check_trace(trace, params)
     if trace.layer_caches is None:
         raise StructuralError(
             "backward_batch needs a train-mode trace; forward_batch keeps no caches in infer mode"

@@ -16,7 +16,6 @@ trial index), so trials could run in parallel without changing results.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -29,21 +28,14 @@ from .evaluation import (
     METRIC_NAMES,
     CvResult,
     HoldoutResult,
+    aggregate_metrics,
     cross_validate,
     holdout_evaluate,
 )
 from .nn import CellType, ModelConfig
 from .numcore import Rng
-from .textpipe import TaggerMode, read_json
+from .textpipe import TaggerMode, read_json, write_json
 from .train import TrainConfig
-
-DEFAULT_EPOCHS = (3, 4, 5, 10, 30, 40, 100)
-DEFAULT_LEARNING_RATES = (0.1, 0.01, 0.001)
-DEFAULT_EMBEDDING_DIMS = (64, 128, 256, 2048)
-DEFAULT_NUM_LAYERS = (1, 2)
-DEFAULT_NUM_UNITS = (64, 128, 256, 1024)
-DEFAULT_DROPOUTS = (0.0, 0.1, 0.3)
-DEFAULT_CELLS = (CellType.LSTM, CellType.GRU)
 
 FIXED_OPTIMIZER = "adam"
 FIXED_LOSS = "cross-entropy"
@@ -101,13 +93,13 @@ _AXES = tuple(f.name for f in dataclasses.fields(Candidate))
 class SearchSpace:
     """Factored candidate grid; every axis is a non-empty list of values."""
 
-    cell: tuple = DEFAULT_CELLS
-    epochs: tuple = DEFAULT_EPOCHS
-    learning_rate: tuple = DEFAULT_LEARNING_RATES
-    embedding_dim: tuple = DEFAULT_EMBEDDING_DIMS
-    num_layers: tuple = DEFAULT_NUM_LAYERS
-    num_units: tuple = DEFAULT_NUM_UNITS
-    dropout: tuple = DEFAULT_DROPOUTS
+    cell: tuple = (CellType.LSTM, CellType.GRU)
+    epochs: tuple = (3, 4, 5, 10, 30, 40, 100)
+    learning_rate: tuple = (0.1, 0.01, 0.001)
+    embedding_dim: tuple = (64, 128, 256, 2048)
+    num_layers: tuple = (1, 2)
+    num_units: tuple = (64, 128, 256, 1024)
+    dropout: tuple = (0.0, 0.1, 0.3)
 
     def __post_init__(self):
         # a value is valid when it makes a valid candidate out of a valid one
@@ -176,9 +168,7 @@ class SearchSpace:
         return cls(**{axis: obj[axis] for axis in _AXES})
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), ensure_ascii=False, indent=2) + "\n", "utf-8"
-        )
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "SearchSpace":
@@ -308,11 +298,6 @@ class SearchReport:
         )
 
 
-def _trial_seed(seed: int, trial_index: int) -> int:
-    # one independent stream per trial, so trial order cannot matter
-    return int(Rng(seed, stream=trial_index).integers(0, 2**63 - 1))
-
-
 def run_search(
     dataset: Dataset,
     prop: PropertyName,
@@ -342,6 +327,7 @@ def run_search(
             f"objective must be one of {sorted(METRIC_NAMES)}, got {objective!r}"
         )
     kind, value = parse_eval_mode(eval_mode)
+    evaluate = cross_validate if kind == "cv" else holdout_evaluate
     size = space.size
     if mode == "random":
         if budget is None:
@@ -365,22 +351,14 @@ def run_search(
     trials: list[SearchTrial] = []
     for t, config_index in enumerate(indices):
         candidate = space.config_at(config_index)
-        trial_seed = _trial_seed(seed, t)
+        trial_seed = int(Rng(seed, stream=t).integers(0, 2**63 - 1))  # one stream per trial
         model_cfg = candidate.model_config(vocab_size=3)
         train_cfg = candidate.train_config(trial_seed, batch_size, clip_norm)
         started = time.perf_counter()
-        if kind == "cv":
-            result = cross_validate(
-                dataset, prop, model_cfg, train_cfg, k=int(value), seed=trial_seed,
-                tagger_mode=tagger_mode,
-            )
-            scores = dict(result.aggregate)
-        else:
-            result = holdout_evaluate(
-                dataset, prop, model_cfg, train_cfg, float(value), trial_seed,
-                tagger_mode=tagger_mode,
-            )
-            scores = {name: getattr(result.metrics, name) for name in METRIC_NAMES}
+        result = evaluate(
+            dataset, prop, model_cfg, train_cfg, value, trial_seed, tagger_mode=tagger_mode
+        )
+        scores = aggregate_metrics(result.folds if kind == "cv" else [result.metrics])
         seconds = time.perf_counter() - started
         objective_value = -scores["mse"] if objective == "mse" else scores[objective]
         trials.append(

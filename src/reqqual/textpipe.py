@@ -330,13 +330,24 @@ class TagVocabulary:
         return cls(tags=tuple(tag for tag, _ in by_index))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), ensure_ascii=False, indent=2) + "\n", "utf-8"
-        )
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "TagVocabulary":
         return cls.from_json(read_json(path, "vocabulary"))
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write `obj` as JSON indented by 2: UTF-8, non-ASCII kept, LF, final newline."""
+    text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    Path(path).write_text(text, "utf-8", newline="\n")
+
+
+def write_jsonl(path: str | Path, records: Iterable) -> None:
+    """Write one compact JSON document per LF-terminated line, UTF-8, non-ASCII kept."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def read_json(path: str | Path, what: str):
@@ -353,6 +364,8 @@ def read_json(path: str | Path, what: str):
         raise StructuralError(f"{what} file {path} is not valid UTF-8 ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{what} file {path} is not valid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise StructuralError(f"{what} file {path} is not valid JSON: nested too deeply") from None
 
 
 def build_vocabulary(tagged: Iterable[Sequence[Token]]) -> TagVocabulary:

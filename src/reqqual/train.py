@@ -30,6 +30,7 @@ from .nn import (
     forward_batch,
     zero_gradients,
 )
+from .textpipe import EncodedSequence
 
 PROB_FLOOR = 1e-12  # keeps -log finite on saturated mispredictions
 FD_STEP = 1e-6  # central-difference step of the gradient check
@@ -168,14 +169,15 @@ class LossCurve:
 LabeledSequence = tuple[Sequence[int], int]
 
 
-def _validate_data(data, what: str) -> list[tuple[tuple[int, ...], int]]:
+def _validate_data(data, what: str) -> list[tuple[EncodedSequence | tuple[int, ...], int]]:
     if not data:
         raise ParameterError(f"{what} set must be non-empty")
     out = []
     for ids, label in data:
-        ids = tuple(int(i) for i in (ids.ids if hasattr(ids, "ids") else ids))
-        if not ids:
-            raise ParameterError(f"{what} set contains an empty sequence")
+        if not isinstance(ids, EncodedSequence):  # kept as is: forward_batch reads its ids
+            ids = tuple(int(i) for i in ids)
+            if not ids:
+                raise ParameterError(f"{what} set contains an empty sequence")
         if label not in (0, 1):
             raise ParameterError(f"{what} label must be 0 or 1, got {label}")
         out.append((ids, int(label)))

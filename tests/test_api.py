@@ -7,6 +7,7 @@ source that is present is checked, so the tests run from source without an
 install and a stale install still fails.
 """
 
+import ast
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -64,6 +65,17 @@ def _packaged_facts():
 def test_all_names_resolve():
     for name in reqqual.__all__:
         assert getattr(reqqual, name, None) is not None, name
+
+
+def test_all_lists_exactly_the_package_imports():
+    """__all__ restates the imports of __init__.py; the two lists must not drift."""
+    tree = ast.parse(Path(reqqual.__file__).read_text("utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(reqqual.__all__) == sorted(imported + ["__version__"])
 
 
 def test_version_matches_distribution():

@@ -172,6 +172,15 @@ def test_header_not_json(tmp_path):
         load_model(path)
 
 
+def test_header_nested_too_deeply(tmp_path):
+    path = tmp_path / "model.rqm"
+    save_model(make_artifact(), path)
+    deep = b"[" * 100_000  # past the JSON decoder's recursion limit
+    path.write_bytes(path.read_bytes()[:6] + struct.pack("<I", len(deep)) + deep)
+    with pytest.raises(ArtifactError, match="not valid JSON"):
+        load_model(path)
+
+
 def test_header_version_mismatch(tmp_path):
     artifact = make_artifact()
     path = tmp_path / "model.rqm"

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, run in-process via main(argv)."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,14 +12,26 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reqqual
-from reqqual.artifact import load_model
-from reqqual.cli import main
-from reqqual.corpus import PROPERTIES, PropertyName, generate_synthetic, load_dataset, save_dataset
-from reqqual.nn import CellType
+from reqqual.artifact import ModelArtifact, load_model, save_model
+from reqqual.cli import build_parser, main
+from reqqual.corpus import (
+    PROPERTIES,
+    Dataset,
+    PropertyName,
+    Requirement,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
+from reqqual.evaluation import Confusion, CvResult, Metrics, aggregate_metrics
+from reqqual.nn import CellType, ModelConfig, ParameterSet, zero_gradients
 from reqqual.search import SearchSpace
 from reqqual.textpipe import TagVocabulary
+from reqqual.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +348,17 @@ def test_train_unallocatable_model_exits_2(
     assert code == 2
     assert re.search(r"error: cannot allocate a model of \d+ parameters", capsys.readouterr().err)
     assert not (tmp_path / "m.rqm").exists()
+
+
+def test_train_on_non_utf8_file_name(tmp_path, capsys):
+    dataset = tmp_path / "data\udcff.jsonl"  # the file system name holds the byte 0xff
+    save_dataset(generate_synthetic(6, seed=2), dataset)
+    model = tmp_path / "m.rqm"
+    assert main([
+        "train", "--input", str(dataset), "--property", "singular", "--out", str(model),
+        "--epochs", "1", "--units", "2", "--embedding", "2",
+    ]) == 0
+    assert load_model(model).metadata["dataset"] == "data\ufffd"
 
 
 def test_train_without_labels_for_property_exits_2(tmp_path, capsys):
@@ -660,6 +685,155 @@ def test_gradcheck_bad_tolerance_exits_2(tol, capsys):
     assert "error: tolerance must be a finite number >= 0" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------- file formats
+
+_GOLDEN_PREDICTION = '{"id": "réq-1", "predicted": true, "prob_positive": 0.5, "label": true}\n'
+
+GOLDEN_FILES = {
+    "data.jsonl": (
+        '{"id": "réq-1", "text": "Le/DT système/NN shall/MD stocker/VB ./.", '
+        '"labels": {"singular": true}, "source": "doc-ü"}\n'
+    ),
+    "encoded.jsonl": (
+        '{"id": "réq-1", "ids": [2, 3, 4, 5, 6], "tags": ["DT", "NN", "MD", "VB", "."]}\n'
+    ),
+    "vocab.json": (
+        '{\n  "version": 1,\n  "<PAD>": 0,\n  "<UNK>": 1,\n  "DT": 2,\n  "NN": 3,\n'
+        '  "MD": 4,\n  "VB": 5,\n  ".": 6\n}\n'
+    ),
+    "evaluate.jsonl": _GOLDEN_PREDICTION,
+    "predict.jsonl": _GOLDEN_PREDICTION,
+    "report.json": (
+        '{\n  "precision": 1.0,\n  "recall": 1.0,\n  "accuracy": 1.0,\n  "f1": 1.0,\n'
+        '  "mse": 0.25,\n  "counts": {\n    "tp": 1,\n    "tn": 0,\n    "fp": 0,\n'
+        '    "fn": 0\n  }\n}\n'
+    ),
+    "space.json": (
+        '{\n  "cell": [\n    "gru"\n  ],\n  "epochs": [\n    1,\n    2\n  ],\n'
+        '  "learning_rate": [\n    0.01\n  ],\n  "embedding_dim": [\n    8\n  ],\n'
+        '  "num_layers": [\n    1\n  ],\n  "num_units": [\n    4\n  ],\n'
+        '  "dropout": [\n    0.0,\n    0.5\n  ],\n  "optimizer": "adam",\n'
+        '  "loss": "cross-entropy"\n}\n'
+    ),
+    "cv.json": """{
+  "property": "singular",
+  "config": {
+    "model": {
+      "cell": "gru",
+      "vocab_size": 7,
+      "embedding_dim": 2,
+      "hidden_units": 2,
+      "num_layers": 1,
+      "dropout_p": 0.0
+    },
+    "train": {
+      "learning_rate": 0.01,
+      "epochs": 1,
+      "batch_size": 32,
+      "clip_norm": 5.0
+    },
+    "k": 2
+  },
+  "folds": [
+    {
+      "precision": 0.5,
+      "recall": 1.0,
+      "accuracy": 0.75,
+      "f1": 0.6666666666666666,
+      "mse": 0.25,
+      "counts": {
+        "tp": 1,
+        "tn": 2,
+        "fp": 1,
+        "fn": 0
+      },
+      "fold": 0
+    },
+    {
+      "precision": 0.0,
+      "recall": 0.0,
+      "accuracy": 0.5,
+      "f1": 0.0,
+      "mse": 0.375,
+      "counts": {
+        "tp": 0,
+        "tn": 2,
+        "fp": 0,
+        "fn": 2
+      },
+      "zero_division": [
+        "precision",
+        "f1"
+      ],
+      "fold": 1
+    }
+  ],
+  "aggregate": {
+    "precision": 0.25,
+    "recall": 0.5,
+    "accuracy": 0.625,
+    "f1": 0.3333333333333333,
+    "mse": 0.3125
+  },
+  "best_fold": {
+    "precision": 0.5,
+    "recall": 1.0,
+    "accuracy": 0.75,
+    "f1": 0.6666666666666666,
+    "mse": 0.25,
+    "counts": {
+      "tp": 1,
+      "tn": 2,
+      "fp": 1,
+      "fn": 0
+    },
+    "fold": 0
+  },
+  "seed": 3
+}
+""",
+}
+
+
+def test_writers_golden_bytes(tmp_path):
+    """Each JSON and JSONL writer, byte for byte, on one non-ASCII requirement:
+    UTF-8 with non-ASCII kept, LF line ends, a final newline, fixed key order."""
+    path = {name: str(tmp_path / name) for name in GOLDEN_FILES}
+    text = "Le/DT système/NN shall/MD stocker/VB ./."
+    requirement = Requirement("réq-1", text, {PropertyName.SINGULAR: True}, "doc-ü")
+    save_dataset(Dataset("golden", (requirement,)), path["data.jsonl"])
+    assert main([
+        "preprocess", "--input", path["data.jsonl"], "--out", path["encoded.jsonl"],
+        "--vocab-out", path["vocab.json"], "--tagger", "pretagged",
+    ]) == 0
+    vocab = TagVocabulary.load(path["vocab.json"])
+    config = ModelConfig(cell="gru", vocab_size=vocab.size, embedding_dim=2, hidden_units=2)
+    zeros = ParameterSet(config, zero_gradients(config))  # every prob_positive is exactly 0.5
+    model = str(tmp_path / "zero.rqm")
+    save_model(ModelArtifact(PropertyName.SINGULAR, config, vocab, zeros, "pretagged", 0), model)
+    assert main([
+        "evaluate", "--model", model, "--input", path["data.jsonl"],
+        "--out", path["evaluate.jsonl"], "--report", path["report.json"],
+    ]) == 0
+    assert main([
+        "predict", "--model", model, "--input", path["data.jsonl"], "--out", path["predict.jsonl"],
+    ]) == 0
+    SearchSpace(
+        cell=("gru",), epochs=(1, 2), learning_rate=(0.01,), embedding_dim=(8,),
+        num_layers=(1,), num_units=(4,), dropout=(0.0, 0.5),
+    ).save(path["space.json"])
+    folds = [
+        Metrics(0.5, 1.0, 0.75, 2 / 3, 0.25, Confusion(tp=1, tn=2, fp=1, fn=0)),
+        Metrics(0.0, 0.0, 0.5, 0.0, 0.375, Confusion(tp=0, tn=2, fp=0, fn=2), ("precision", "f1")),
+    ]
+    CvResult(
+        PropertyName.SINGULAR, config, TrainConfig(learning_rate=0.01, epochs=1), k=2, seed=3,
+        folds=folds, aggregate=aggregate_metrics(folds), best_fold=0,
+    ).save_json(path["cv.json"])
+    written = {name: Path(p).read_bytes() for name, p in path.items()}
+    assert written == {name: golden.encode("utf-8") for name, golden in GOLDEN_FILES.items()}
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -677,6 +851,87 @@ def test_unknown_property_exits_2(workdir, tmp_path):
         ])
     assert excinfo.value.code == 2
 
+
+# Per subcommand: (flags every fuzzed argv keeps: the required ones, and caps that
+# keep each run from training a large model or walking the 4032-candidate default
+# grid; flags it may drop).
+_SIZE_CAPS = ["--epochs", "1", "--units", "2", "--embedding", "2"]
+_FUZZ_BASE = {
+    "synth": (["--n", "3", "--out", "OUT"], ["--rate", "singular=0.5", "--seed", "1"]),
+    "preprocess": (["--input", "DATA", "--out", "OUT"], ["--vocab-out", "OUT"]),
+    "train": (
+        ["--input", "DATA", "--property", "singular", "--out", "OUT", *_SIZE_CAPS],
+        ["--val-fraction", "0.5", "--cell", "lstm"],
+    ),
+    "evaluate": (["--model", "MODEL", "--input", "DATA"], ["--report", "OUT", "--out", "OUT"]),
+    "crossval": (
+        ["--input", "DATA", "--property", "singular", "--report", "OUT", *_SIZE_CAPS],
+        ["--folds", "2"],
+    ),
+    "search": (
+        ["--input", "DATA", "--property", "singular", "--space", "SPACE", "--trials-out", "OUT"],
+        ["--eval-mode", "cv:2", "--mode", "exhaustive"],
+    ),
+    "predict": (["--model", "MODEL"], ["--text", "The system shall log each request."]),
+    "gradcheck": (["--vocab", "4", "--embedding", "2", "--units", "2", "--length", "2"], []),
+}
+_FUZZ_OUTPUT_FLAGS = {"--out", "--report", "--curve", "--trials-out", "--vocab-out"}
+_FUZZ_VALUES = [
+    "0", "1", "2", "-1", "0.5", "nan", "inf", "x", "", "cv:2", "holdout:0.5", "holdout:x",
+    "bogus=1", "singular=x", "DATA", "MODEL", "VOCAB", "JUNK", "MISSING", "DIR",
+]
+
+
+@st.composite
+def _fuzzed_argv(draw, command):
+    """A valid base command with some flags dropped and a few of its own flags added."""
+    pinned, optional = _FUZZ_BASE[command]
+    pairs = [optional[i : i + 2] for i in range(0, len(optional), 2) if draw(st.integers(0, 3))]
+    subparser = build_parser()._subparsers._group_actions[0].choices[command]  # no public API
+    actions = [a for a in subparser._actions if a.option_strings and a.dest != "help"]
+    for action in draw(st.lists(st.sampled_from(actions), max_size=2)):
+        if action.option_strings[0] in _FUZZ_OUTPUT_FLAGS:
+            values = st.sampled_from(["OUT", "DIR", "NO_DIR"])
+        else:
+            values = st.sampled_from(_FUZZ_VALUES)
+            if action.choices:
+                values = st.sampled_from(list(action.choices)) | values
+        pairs.append([action.option_strings[0], draw(values)])
+    tail = draw(st.sampled_from([[]] * 9 + [["-h"], ["--bogus"], ["stray"]]))
+    flags = [token for pair in draw(st.permutations(pairs)) for token in pair]
+    return [command, *pinned, *flags, *tail]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(workdir):
+    root = workdir.root / "fuzz"
+    root.mkdir()
+    (root / "junk.bin").write_bytes(b"\xff\x00{[")
+    SearchSpace(
+        cell=("gru", "lstm"), epochs=(1,), learning_rate=(0.01,), embedding_dim=(2,),
+        num_layers=(1,), num_units=(2,), dropout=(0.0,),
+    ).save(root / "space.json")
+    vocab = root / "vocab.json"
+    load_model(workdir.model).vocabulary.save(vocab)
+    return {
+        "DATA": workdir.dataset, "MODEL": workdir.model, "VOCAB": vocab, "DIR": root,
+        "SPACE": root / "space.json", "JUNK": root / "junk.bin", "MISSING": root / "missing",
+        "OUT": root / "out", "NO_DIR": root / "missing" / "out",
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_0_1_or_2(fuzz_paths, command, data):
+    argv = data.draw(_fuzzed_argv(command))
+    argv = [str(fuzz_paths[t]) if t in fuzz_paths else t for t in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), argv
 
 
 def _run_here(argv, capsys):

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reqqual.corpus import (
@@ -20,6 +20,23 @@ from reqqual.corpus import (
     save_dataset,
 )
 from reqqual.errors import DatasetError, ParameterError
+
+
+# Strings include lone surrogates, which JSON can carry as \ud800-style escapes.
+_STRINGS = st.text(max_size=8) | st.text(
+    st.characters(min_codepoint=0xD7FE, max_codepoint=0xE001), max_size=3
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _STRINGS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_STRINGS, inner, max_size=3),
+    max_leaves=8,
+)
+_RECORDS = st.fixed_dictionaries({"id": _STRINGS | _JSON, "text": _STRINGS | _JSON}, optional={
+    "source": _STRINGS | _JSON,
+    "labels": st.dictionaries(st.sampled_from(["singular", "correct", "terse"]), st.booleans())
+    | _JSON,
+})
+_LINES = _RECORDS.map(json.dumps) | _JSON.map(json.dumps) | st.text(max_size=30)
 
 
 def make_dataset(n=12, labeled_every=1):
@@ -153,6 +170,26 @@ class TestFileErrors:
         with pytest.raises(DatasetError, match="object"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field", ["id", "text", "source"])
+    def test_lone_surrogate_rejected(self, tmp_path, field):
+        record = {"id": "a", "text": "The system shall log.", field: "x\ud800"}
+        path = self.write(tmp_path, json.dumps(record))
+        with pytest.raises(DatasetError, match=f"field '{field}' holds a lone surrogate"):
+            load_dataset(path)
+
+    @given(lines=st.lists(_LINES, max_size=3))
+    @example(lines=["[" * 100_000])  # past the JSON decoder's recursion limit
+    @settings(max_examples=100, deadline=None)
+    def test_any_lines_load_and_save_or_raise_dataset_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_text("\n".join(lines), "utf-8")
+        try:
+            dataset = load_dataset(path)
+        except DatasetError:
+            return
+        save_dataset(dataset, path)  # whatever loads can be written back
+        assert load_dataset(path) == dataset
+
 
 class TestFolds:
     def test_partition_and_sizes(self):
@@ -279,6 +316,8 @@ class TestSyntheticGenerator:
         {PropertyName.SINGULAR: -0.1},
         {PropertyName.SINGULAR: float("nan")},
         {PropertyName.SINGULAR: "0.5"},
+        {PropertyName.SINGULAR: True},
+        {"complete": False},
     ])
     def test_invalid_violation_rate_rejected(self, rates):
         with pytest.raises(ParameterError, match="violation rate"):

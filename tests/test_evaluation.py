@@ -25,11 +25,10 @@ from reqqual.evaluation import (
     cross_validate,
     evaluate_model,
     f1_score,
-    save_predictions,
 )
 from reqqual.nn import CellType, ModelConfig, ParameterSet
 from reqqual.numcore import Rng
-from reqqual.textpipe import TaggerMode, build_vocabulary, tag_text
+from reqqual.textpipe import TaggerMode, build_vocabulary, tag_text, write_jsonl
 from reqqual.train import TrainConfig
 
 
@@ -407,7 +406,7 @@ def test_save_predictions_jsonl(tmp_path):
     artifact = build_artifact(dataset)
     _, records = evaluate_model(artifact, dataset)
     path = tmp_path / "preds.jsonl"
-    save_predictions(records, path)
+    write_jsonl(path, records)
     lines = path.read_text("utf-8").splitlines()
     assert len(lines) == 5
     assert [json.loads(line)["id"] for line in lines] == [r["id"] for r in records]

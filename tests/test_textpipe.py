@@ -277,6 +277,26 @@ class TestVocabulary:
         with pytest.raises(StructuralError):
             TagVocabulary.load(tmp_path / "none.json")
 
+    def test_load_rejects_deep_nesting(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text("[" * 100_000)  # past the JSON decoder's recursion limit
+        with pytest.raises(StructuralError, match="nested too deeply"):
+            TagVocabulary.load(path)
+
+    @given(st.dictionaries(
+        st.sampled_from(["version", PAD_TAG, UNK_TAG, "NN"]) | st.text(max_size=4),
+        st.integers(-1, 4) | st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+        | st.lists(st.integers(), max_size=2),
+        max_size=6,
+    ) | st.lists(st.integers(), max_size=3) | st.text(max_size=5) | st.none() | st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_from_json_returns_or_raises_structural_error(self, obj):
+        try:
+            vocab = TagVocabulary.from_json(obj)
+        except StructuralError:
+            return
+        assert TagVocabulary.from_json(vocab.to_json()) == vocab
+
 
 class TestEncoding:
     def vocab(self):

@@ -10,6 +10,7 @@ import reqqual.train as train_mod
 from reqqual.errors import ParameterError, TrainingError
 from reqqual.numcore import Rng
 from reqqual.nn import CellType, ModelConfig, ParameterSet
+from reqqual.textpipe import EncodedSequence
 from reqqual.train import (
     AdamState,
     EpochRecord,
@@ -231,6 +232,17 @@ class TestFit:
         cfg = TrainConfig(learning_rate=0.01, epochs=4, seed=42)
         params_a, curve_a = fit(data, gru_config(dropout=0.1), cfg)
         params_b, curve_b = fit(data, gru_config(dropout=0.1), cfg)
+        assert curve_a == curve_b
+        for (name, a), (_, b) in zip(params_a.arrays.items(), params_b.arrays.items()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_encoded_sequences_train_like_their_ids(self):
+        data = toy_data()
+        encoded = [(EncodedSequence(ids), label) for ids, label in data]
+        assert train_mod._validate_data(encoded, "training")[0][0] is encoded[0][0]  # no copy
+        cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=5, seed=8)
+        params_a, curve_a = fit(data, gru_config(dropout=0.1), cfg, validation=data[:3])
+        params_b, curve_b = fit(encoded, gru_config(dropout=0.1), cfg, validation=encoded[:3])
         assert curve_a == curve_b
         for (name, a), (_, b) in zip(params_a.arrays.items(), params_b.arrays.items()):
             np.testing.assert_array_equal(a, b, err_msg=name)
