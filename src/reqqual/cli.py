@@ -43,6 +43,7 @@ from .evaluation import METRIC_NAMES, cross_validate, encode_labeled, evaluate_m
 from .nn import CellType, ModelConfig
 from .search import Candidate, SearchSpace, preset_candidate, run_search
 from .textpipe import (
+    RulesTagger,
     TaggerMode,
     TagVocabulary,
     build_vocabulary,
@@ -100,7 +101,8 @@ def _clip_norm(args: argparse.Namespace) -> float | None:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.input)
     mode = TaggerMode(args.tagger)
-    tagged = [(req.id, tag_text(req.text, mode)) for req in dataset.requirements]
+    tagger = RulesTagger()
+    tagged = [(req.id, tag_text(req.text, mode, tagger)) for req in dataset.requirements]
 
     if args.vocab_in:
         vocab = TagVocabulary.load(args.vocab_in)

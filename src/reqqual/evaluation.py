@@ -24,7 +24,7 @@ from .artifact import ModelArtifact
 from .corpus import Dataset, FoldPlan, PropertyName, holdout_split, make_folds
 from .errors import ParameterError, StructuralError
 from .nn import ModelConfig, classify, forward_batch
-from .textpipe import TaggerMode, build_vocabulary, encode, tag_text, write_json
+from .textpipe import RulesTagger, TaggerMode, build_vocabulary, encode, tag_text, write_json
 from .train import LossCurve, TrainConfig, fit
 
 
@@ -177,7 +177,8 @@ def encode_labeled(dataset: Dataset, prop: PropertyName, mode: TaggerMode):
     labeled = dataset.labeled(prop)
     if not labeled:
         raise ParameterError(f"no requirements labeled for {prop.value!r}")
-    tagged = {req.id: tag_text(req.text, mode) for req in labeled}
+    tagger = RulesTagger()
+    tagged = {req.id: tag_text(req.text, mode, tagger) for req in labeled}
     vocab = build_vocabulary(tagged.values())
     encoded = {
         req.id: (encode(tagged[req.id], vocab), class_of(req.labels[prop]))
@@ -314,8 +315,9 @@ def evaluate_model(
         )
     if len(dataset) == 0:
         raise ParameterError("cannot evaluate on an empty dataset")
+    tagger = RulesTagger()
     sequences = [
-        encode(tag_text(req.text, artifact.tagger_mode), artifact.vocabulary)
+        encode(tag_text(req.text, artifact.tagger_mode, tagger), artifact.vocabulary)
         for req in dataset.requirements
     ]
     probs, _ = forward_batch(sequences, artifact.params)

