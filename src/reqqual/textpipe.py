@@ -118,8 +118,6 @@ def _split_once(s: str) -> list[tuple[str, bool]]:
 
 def _split_chunk(s: str) -> list[str]:
     """Tokens of one whitespace-free chunk, split with an explicit work stack."""
-    if s.isalnum() and s.lower() not in _SPLIT_WORDS:
-        return [s]  # no rule splits a plain word
     tokens: list[str] = []
     stack = [(s, False)]
     while stack:
@@ -218,7 +216,7 @@ class RulesTagger:
             return self.lexicon[low]
         if _NUMBER_RE.match(surface):
             return "CD"
-        if not (surface.isalnum() or any(c.isalnum() for c in surface)):
+        if not any(c.isalnum() for c in surface):
             return "SYM"
         if surface[0].isupper():
             if len(surface) > 1 and surface.isupper():
@@ -245,6 +243,10 @@ class RulesTagger:
         if not tokens:
             raise ParameterError("cannot tag an empty token list")
         return _retag_verbs([Token(s, self._lexical_tag(s)) for s in tokens])
+
+    def tag_text(self, text: str) -> list[Token]:
+        """Equals `self.tag(tokenize(text))`, with each distinct chunk tagged once."""
+        return _retag_verbs([t for chunk in _chunks(text) for t in self._chunk_tokens(chunk)])
 
 
 def _retag_verbs(tokens: list[Token]) -> list[Token]:
@@ -281,8 +283,7 @@ def tag_text(text: str, mode: TaggerMode, tagger: RulesTagger | None = None) -> 
     mode = TaggerMode(mode)
     if mode is TaggerMode.PRETAGGED:
         return parse_pretagged(text)
-    tagger = tagger or RulesTagger()
-    return _retag_verbs([t for chunk in _chunks(text) for t in tagger._chunk_tokens(chunk)])
+    return (tagger or RulesTagger()).tag_text(text)
 
 
 # --- vocabulary and encoding ------------------------------------------------
@@ -311,6 +312,10 @@ class TagVocabulary:
     @property
     def size(self) -> int:
         return len(self.tags)
+
+    def index_of(self, tag: str) -> int:
+        """Index of `tag`, or UNK_ID when the tag is unknown."""
+        return self._index.get(tag, UNK_ID)
 
     def __contains__(self, tag: str) -> bool:
         return tag in self._index
@@ -423,8 +428,7 @@ def encode(tokens: Sequence[Token], vocab: TagVocabulary) -> EncodedSequence:
     """Map each token's tag to its vocabulary index, UNK for unseen tags."""
     if not tokens:
         raise ParameterError("cannot encode an empty token list")
-    index = vocab._index
-    return EncodedSequence(ids=[index.get(token.tag, UNK_ID) for token in tokens])
+    return EncodedSequence(ids=[vocab.index_of(token.tag) for token in tokens])
 
 
 def decode(sequence: EncodedSequence, vocab: TagVocabulary) -> list[str]:

@@ -280,6 +280,8 @@ class TestVocabulary:
     def test_reserved_slots_and_first_occurrence_order(self):
         vocab = build_vocabulary(self.sample_tokens())
         assert vocab.tags == (PAD_TAG, UNK_TAG, "NN", "MD", "VB", ".")
+        assert vocab.index_of("NN") == 2
+        assert vocab.index_of("JJ") == UNK_ID
         assert vocab.size == 6
 
     def test_counting_example(self):
