@@ -49,6 +49,7 @@ class PropertyName(str, enum.Enum):
 
 
 PROPERTIES: tuple[PropertyName, ...] = tuple(PropertyName)
+_PROPERTY_OF = {p.value: p for p in PROPERTIES}  # a label key in a file -> its property
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,14 @@ class Dataset:
                     f"duplicate id {req.id!r} at records {seen[req.id] + 1} and {pos + 1}"
                 )
             seen[req.id] = pos
+
+    @classmethod
+    def _checked(cls, name: str, requirements: tuple[Requirement, ...]) -> "Dataset":
+        """A dataset whose ids the caller has already found unique; no second scan."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "name", name)
+        object.__setattr__(dataset, "requirements", requirements)
+        return dataset
 
     def __len__(self) -> int:
         return len(self.requirements)
@@ -115,10 +124,9 @@ def _parse_record(raw: str, lineno: int) -> Requirement:
         raise DatasetError(f"line {lineno}: field 'labels' must be an object")
     labels: dict[PropertyName, bool] = {}
     for key, value in labels_raw.items():
-        try:
-            prop = PropertyName(key)
-        except ValueError:
-            raise DatasetError(f"line {lineno}: unknown label {key!r} in field 'labels'") from None
+        prop = _PROPERTY_OF.get(key)
+        if prop is None:
+            raise DatasetError(f"line {lineno}: unknown label {key!r} in field 'labels'")
         if not isinstance(value, bool):
             raise DatasetError(f"line {lineno}: label {key!r} must be true or false")
         labels[prop] = value
@@ -162,7 +170,7 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
         requirements.append(req)
     # file-name bytes that are not UTF-8 become U+FFFD: no writer can encode a lone surrogate
     stem = path.stem.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
-    return Dataset(name=name or stem, requirements=tuple(requirements))
+    return Dataset._checked(name or stem, tuple(requirements))
 
 
 def _record_to_json(req: Requirement) -> dict:

@@ -365,11 +365,15 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(text, "utf-8", newline="\n")
 
 
+# json.dumps with any keyword builds a new encoder per call; this one is reused
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(path: str | Path, records: Iterable) -> None:
     """Write one compact JSON document per LF-terminated line, UTF-8, non-ASCII kept."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(_JSONL_ENCODER.encode(record) + "\n")
 
 
 def read_json(path: str | Path, what: str):

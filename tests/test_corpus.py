@@ -145,6 +145,14 @@ class TestFileErrors:
         with pytest.raises(DatasetError, match="'terse'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("key", ["SINGULAR", "singular ", ""])
+    def test_label_key_must_match_a_property_exactly(self, tmp_path, key):
+        record = {"id": "a", "text": "t", "labels": {key: True}}
+        path = self.write(tmp_path, json.dumps(record))
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"line 1: unknown label {key!r} in field 'labels'"
+
     def test_non_boolean_label(self, tmp_path):
         path = self.write(tmp_path, '{"id": "a", "text": "t", "labels": {"singular": 1}}')
         with pytest.raises(DatasetError, match="singular"):

@@ -14,6 +14,7 @@ from reqqual.corpus import (
 )
 from reqqual.errors import ParameterError, StructuralError
 from reqqual.evaluation import (
+    INFER_CHUNK_ROWS,
     METRIC_NAMES,
     Confusion,
     CvResult,
@@ -26,9 +27,9 @@ from reqqual.evaluation import (
     evaluate_model,
     f1_score,
 )
-from reqqual.nn import CellType, ModelConfig, ParameterSet
+from reqqual.nn import CellType, ModelConfig, ParameterSet, forward
 from reqqual.numcore import Rng
-from reqqual.textpipe import TaggerMode, build_vocabulary, tag_text, write_jsonl
+from reqqual.textpipe import TaggerMode, build_vocabulary, encode, tag_text, write_jsonl
 from reqqual.train import TrainConfig
 
 
@@ -310,6 +311,27 @@ def test_evaluate_model_records():
     agreed = sum(1 for r in records if r["predicted"] == r["label"])
     assert metrics.accuracy == pytest.approx(agreed / 12)
     assert metrics.counts.total == 12
+
+
+def test_evaluate_model_chunks_match_the_per_sequence_reference():
+    # more than two chunks of requirements of 1 to 3 sentences, in no length order
+    base = generate_synthetic(2 * INFER_CHUNK_ROWS + 1, seed=29)
+    requirements = []
+    for i, req in enumerate(base.requirements):
+        text = " ".join([req.text] * (i * 7 % 3 + 1))
+        requirements.append(Requirement(id=req.id, text=text, labels=req.labels))
+    dataset = Dataset("mixed-lengths", tuple(requirements))
+    artifact = build_artifact(cv_dataset(12))
+    _, records = evaluate_model(artifact, dataset)
+    assert [r["id"] for r in records] == [req.id for req in dataset.requirements]
+    lengths = set()
+    for req, record in zip(dataset.requirements, records):
+        ids = encode(tag_text(req.text, TaggerMode.RULES), artifact.vocabulary)
+        lengths.add(ids.length)
+        probs, _ = forward(ids, artifact.params)
+        assert abs(record["prob_positive"] - probs[0]) <= 1e-12
+        assert record["predicted"] is (classify(probs) == 0)
+    assert len(lengths) > 10
 
 
 def test_evaluate_model_property_mismatch_refused():
