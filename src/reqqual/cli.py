@@ -157,19 +157,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ParameterError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
     prop = PropertyName(args.property)
     dataset = load_dataset(args.input)
+    train_reqs, val_reqs = dataset.labeled(prop), None
+    if args.val_fraction > 0:
+        train_ds, val_ds = holdout_split(dataset, prop, 1.0 - args.val_fraction, args.seed)
+        train_reqs, val_reqs = train_ds.requirements, val_ds.requirements
     mode = TaggerMode(args.tagger)
     vocab, encoded = encode_labeled(dataset, prop, mode)
     candidate = _resolve_candidate(args, prop)
     model_cfg = candidate.model_config(vocab.size)
     train_cfg = candidate.train_config(args.seed, args.batch_size, _clip_norm(args))
-
-    train_reqs = dataset.labeled(prop)
-    validation = None
-    if args.val_fraction > 0:
-        train_ds, val_ds = holdout_split(dataset, prop, 1.0 - args.val_fraction, args.seed)
-        train_reqs = list(train_ds.requirements)
-        validation = [encoded[r.id] for r in val_ds.requirements]
-
+    validation = None if val_reqs is None else [encoded[r.id] for r in val_reqs]
     params, curve = fit(
         [encoded[r.id] for r in train_reqs], model_cfg, train_cfg, validation=validation
     )
@@ -386,10 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every flag that names a file the command writes
+_OUTPUT_FLAGS = ("out", "vocab_out", "curve", "report", "trials_out")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest in _OUTPUT_FLAGS:  # refuse a missing output directory before any work
+            path = getattr(args, dest, None)
+            if path is not None and not Path(path).parent.is_dir():
+                flag = "--" + dest.replace("_", "-")
+                raise ParameterError(f"{flag}: directory {Path(path).parent} does not exist")
         return args.func(args)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,9 +61,6 @@ class Requirement:
     labels: dict[PropertyName, bool] = field(default_factory=dict)
     source: str | None = None
 
-    def label_for(self, prop: PropertyName) -> bool | None:
-        return self.labels.get(PropertyName(prop))
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -141,8 +138,8 @@ def _parse_record(raw: str, lineno: int) -> Requirement:
     return Requirement(id=obj["id"], text=obj["text"], labels=labels, source=source)
 
 
-def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
-    """Read a JSONL dataset, preserving record order.
+def load_dataset(path: str | Path) -> Dataset:
+    """Read a JSONL dataset, named after the file's stem, preserving record order.
 
     Malformed lines raise :class:`DatasetError` naming the line number and
     offending field; duplicate ids name both line numbers.
@@ -170,7 +167,7 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
         requirements.append(req)
     # file-name bytes that are not UTF-8 become U+FFFD: no writer can encode a lone surrogate
     stem = path.stem.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
-    return Dataset._checked(name or stem, tuple(requirements))
+    return Dataset._checked(stem, tuple(requirements))
 
 
 def _record_to_json(req: Requirement) -> dict:
@@ -232,13 +229,20 @@ def make_folds(dataset: Dataset, prop: PropertyName, k: int, seed: int) -> FoldP
 def holdout_split(
     dataset: Dataset, prop: PropertyName, train_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
-    """Split the labeled subset into train/test, |train| = round(fraction * n)."""
+    """Split the labeled subset into train/test, |train| = round(fraction * n), neither empty."""
     if not (0.0 < train_fraction < 1.0):
         raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
     labeled, perm = _shuffled_labeled(dataset, prop, seed)
     if not labeled:
         raise ParameterError(f"no requirements labeled for {PropertyName(prop).value!r}")
-    cut = int(round(train_fraction * len(labeled)))
+    n = len(labeled)
+    cut = int(round(train_fraction * n))
+    if not 0 < cut < n:
+        raise ParameterError(
+            f"a {train_fraction:g}/{1 - train_fraction:g} train/hold-out split of the {n} "
+            f"requirements labeled for {PropertyName(prop).value!r} leaves {cut} to train "
+            f"and {n - cut} to hold out; both parts must be non-empty"
+        )
     return tuple(
         Dataset(f"{dataset.name}-{name}", tuple(labeled[i] for i in sorted(part)))
         for name, part in (("train", perm[:cut]), ("test", perm[cut:]))
@@ -410,12 +414,7 @@ def generate_synthetic(n: int, seed: int, plan: SignalPlan | None = None) -> Dat
             sentence += f" using {_pick(rng, _TECH_NAMES)}"
         sentence += "."
 
-        labels = {
-            PropertyName.SINGULAR: not not_singular,
-            PropertyName.COMPLETE: not not_complete,
-            PropertyName.APPROPRIATE: not not_appropriate,
-            PropertyName.CORRECT: not not_correct,
-        }
+        labels = {p: not violated[p][i] for p in PROPERTIES}
         requirements.append(
             Requirement(id=f"synth-{i:05d}", text=sentence, labels=labels, source="synthetic")
         )

@@ -239,13 +239,14 @@ def _lstm_step(x_t, state: CellState, layer: Mapping[str, np.ndarray]):
     return CellState(h=h, c=c), LstmStepCache(xcat, f, i, o, g, state.c, tc)
 
 
-def _gru_step(x_t, h_prev, layer: Mapping[str, np.ndarray]):
+def _gru_step(x_t, state: CellState, layer: Mapping[str, np.ndarray]):
+    h_prev = state.h
     z = sigmoid(layer["uz"] @ x_t + layer["wz"] @ h_prev)
     r = sigmoid(layer["ur"] @ x_t + layer["wr"] @ h_prev)
     q = h_prev * r
     s = tanh(layer["us"] @ x_t + layer["ws"] @ q)
     h = (1.0 - z) * s + z * h_prev
-    return h, GruStepCache(np.asarray(x_t, dtype=np.float64), h_prev, z, r, q, s)
+    return CellState(h=h), GruStepCache(np.asarray(x_t, dtype=np.float64), h_prev, z, r, q, s)
 
 
 def lstm_step(x_t, state: CellState, layer: Mapping[str, np.ndarray]) -> CellState:
@@ -256,8 +257,9 @@ def lstm_step(x_t, state: CellState, layer: Mapping[str, np.ndarray]) -> CellSta
 
 def gru_step(x_t, h_prev, layer: Mapping[str, np.ndarray]) -> np.ndarray:
     """One GRU update; note W_s multiplies (h_prev * r), and there are no biases."""
-    h, _ = _gru_step(np.asarray(x_t, dtype=np.float64), np.asarray(h_prev, dtype=np.float64), layer)
-    return h
+    state = CellState(h=np.asarray(h_prev, dtype=np.float64))
+    new_state, _ = _gru_step(np.asarray(x_t, dtype=np.float64), state, layer)
+    return new_state.h
 
 
 def embed(ids: Sequence[int], table: np.ndarray) -> list[np.ndarray]:
@@ -304,6 +306,7 @@ def forward(
     seq = _as_ids(ids)
     xs = embed(seq, params.arrays["embedding"])
 
+    step = _lstm_step if config.cell is CellType.LSTM else _gru_step
     layer_caches: list[list] = []
     for k in range(config.num_layers):
         layer = params.layer(k)
@@ -311,27 +314,14 @@ def forward(
         state = CellState.zero(config)
         outputs = []
         for x_t in xs:
-            if config.cell is CellType.LSTM:
-                state, cache = _lstm_step(x_t, state, layer)
-            else:
-                h, cache = _gru_step(x_t, state.h, layer)
-                state = CellState(h=h)
+            state, cache = step(x_t, state, layer)
             caches.append(cache)
             outputs.append(state.h)
         layer_caches.append(caches)
         xs = outputs  # next layer consumes this layer's hidden states
 
     h_final = xs[-1]
-    dropout_scale = None
-    dropped = h_final
-    if mode is RunMode.TRAIN and config.dropout_p > 0.0:
-        if rng is None:
-            raise ParameterError("train-mode forward with dropout needs an rng")
-        keep = 1.0 - config.dropout_p
-        mask = (rng.uniform(size=config.hidden_units) >= config.dropout_p).astype(np.float64)
-        dropout_scale = mask / keep
-        dropped = h_final * dropout_scale
-
+    dropped, dropout_scale = _dropout(h_final, config, mode is RunMode.TRAIN, rng)
     probs = softmax(params.arrays["head.w"] @ dropped + params.arrays["head.b"])
     trace = ForwardTrace(
         ids=seq,
@@ -343,6 +333,16 @@ def forward(
         probs=probs,
     )
     return probs, trace
+
+
+def _dropout(h_final: np.ndarray, config: ModelConfig, train: bool, rng: Rng | None):
+    """Train-mode inverted dropout: (head input, mask / (1 - p) or None); keeps u >= p."""
+    if not train or config.dropout_p == 0.0:
+        return h_final, None
+    if rng is None:
+        raise ParameterError("train-mode forward with dropout needs an rng")
+    scale = (rng.uniform(size=h_final.shape) >= config.dropout_p) / (1.0 - config.dropout_p)
+    return h_final * scale, scale
 
 
 def _check_trace(trace: ForwardTrace | BatchTrace, params: ParameterSet) -> None:
@@ -624,16 +624,7 @@ def forward_batch(
 
     h_final = np.empty((batch, h_units))  # from the top layer's hs
     h_final[order] = hs[lengths[order], np.arange(batch)] if keep_hs else hs[0]
-    dropout_scale = None
-    dropped = h_final
-    if train and config.dropout_p > 0.0:
-        if rng is None:
-            raise ParameterError("train-mode forward with dropout needs an rng")
-        keep = 1.0 - config.dropout_p
-        masks = (rng.uniform(size=(batch, h_units)) >= config.dropout_p).astype(np.float64)
-        dropout_scale = masks / keep
-        dropped = h_final * dropout_scale
-
+    dropped, dropout_scale = _dropout(h_final, config, train, rng)
     probs = softmax(dropped @ params.arrays["head.w"].T + params.arrays["head.b"])
     trace = BatchTrace(
         config=config,

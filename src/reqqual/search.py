@@ -34,7 +34,7 @@ from .evaluation import (
 )
 from .nn import CellType, ModelConfig
 from .numcore import Rng
-from .textpipe import TaggerMode, read_json, write_json
+from .textpipe import TaggerMode, read_json, write_csv, write_json
 from .train import TrainConfig
 
 FIXED_OPTIMIZER = "adam"
@@ -275,18 +275,16 @@ class SearchReport:
         return self.trials[self.best_index]
 
     def save_trials_csv(self, path: str | Path) -> None:
-        lines = ["trial,cell,epochs,lr,embedding,layers,units,dropout,"
-                 "precision,recall,accuracy,f1,mse,seconds"]
+        rows = [["trial", "cell", "epochs", "lr", "embedding", "layers", "units", "dropout",
+                 *METRIC_NAMES, "seconds"]]
         for trial in self.trials:
             c = trial.candidate
-            s = trial.scores
-            lines.append(
-                f"{trial.index},{c.cell.value},{c.epochs},{c.learning_rate!r},"
-                f"{c.embedding_dim},{c.num_layers},{c.num_units},{c.dropout!r},"
-                f"{s['precision']!r},{s['recall']!r},{s['accuracy']!r},"
-                f"{s['f1']!r},{s['mse']!r},{trial.seconds:.3f}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+            rows.append([
+                str(trial.index), c.cell.value, str(c.epochs), repr(c.learning_rate),
+                str(c.embedding_dim), str(c.num_layers), str(c.num_units), repr(c.dropout),
+                *(repr(trial.scores[name]) for name in METRIC_NAMES), f"{trial.seconds:.3f}",
+            ])
+        write_csv(path, rows)
 
     def summary(self) -> str:
         c = self.best.candidate

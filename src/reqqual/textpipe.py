@@ -376,6 +376,11 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
             handle.write(_JSONL_ENCODER.encode(record) + "\n")
 
 
+def write_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Write rows of caller-formatted fields, comma-joined and unquoted: UTF-8, LF."""
+    Path(path).write_text("".join(",".join(row) + "\n" for row in rows), "utf-8", newline="\n")
+
+
 def read_json(path: str | Path, what: str):
     """Parse the JSON document in `path`.
 

@@ -8,7 +8,6 @@ parameters and loss curves.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .nn import (
     forward_batch,
     zero_gradients,
 )
-from .textpipe import EncodedSequence
+from .textpipe import EncodedSequence, write_csv
 
 PROB_FLOOR = 1e-12  # keeps -log finite on saturated mispredictions
 FD_STEP = 1e-6  # central-difference step of the gradient check
@@ -154,16 +153,11 @@ class LossCurve:
         return self.records[-1]
 
     def save_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["epoch", "train_loss", "val_loss", "train_acc"])
-            for rec in self.records:
-                writer.writerow([
-                    rec.epoch,
-                    format(rec.train_loss, ".17g"),
-                    "" if rec.val_loss is None else format(rec.val_loss, ".17g"),
-                    format(rec.train_acc, ".17g"),
-                ])
+        rows = [["epoch", "train_loss", "val_loss", "train_acc"]]
+        for rec in self.records:
+            values = (rec.train_loss, rec.val_loss, rec.train_acc)
+            rows.append([str(rec.epoch)] + ["" if v is None else format(v, ".17g") for v in values])
+        write_csv(path, rows)
 
 
 LabeledSequence = tuple[Sequence[int], int]

@@ -660,6 +660,25 @@ def test_search_missing_input_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,sizes", [
+    (["search", "--mode", "exhaustive", "--eval-mode", "holdout:0.99"], "24 to train and 0"),
+    (["search", "--mode", "exhaustive", "--eval-mode", "holdout:0.001"], "0 to train and 24"),
+    (["train", "--val-fraction", "0.01", "--epochs", "1"], "24 to train and 0"),
+], ids=["search-0.99", "search-0.001", "train-val-0.01"])
+def test_holdout_with_an_empty_part_exits_2_before_fitting(workdir, tmp_path, capsys, argv, sizes):
+    space = tmp_path / "space.json"
+    tiny_space(space)
+    out = tmp_path / "out"
+    out.mkdir()
+    flags = {"search": ["--space", str(space), "--trials-out", str(out / "t.csv")],
+             "train": ["--out", str(out / "m.rqm")]}[argv[0]]
+    code = main([*argv, "--input", str(workdir.dataset), "--property", "singular", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "split of the 24 requirements labeled for 'singular' leaves " + sizes in err
+    assert not any(out.iterdir())
+
+
 # ---------------------------------------------------------------- gradcheck
 
 
@@ -835,6 +854,73 @@ def test_writers_golden_bytes(tmp_path):
 
 
 # ---------------------------------------------------------------- parser
+
+
+# The settable flags of each subcommand, 71 in all.  A change to the CLI surface
+# changes this table.
+SETTABLE_FLAGS = {
+    "preprocess": ["--input", "--out", "--tagger", "--vocab-in", "--vocab-out"],
+    "synth": ["--n", "--out", "--rate", "--seed"],
+    "train": [
+        "--batch-size", "--cell", "--clip-norm", "--curve", "--dropout", "--embedding",
+        "--epochs", "--input", "--layers", "--lr", "--out", "--preset", "--property", "--seed",
+        "--tagger", "--units", "--val-fraction",
+    ],
+    "evaluate": ["--input", "--model", "--out", "--property", "--report"],
+    "crossval": [
+        "--batch-size", "--cell", "--clip-norm", "--dropout", "--embedding", "--epochs",
+        "--folds", "--input", "--layers", "--lr", "--preset", "--property", "--report", "--seed",
+        "--tagger", "--units",
+    ],
+    "search": [
+        "--batch-size", "--budget", "--clip-norm", "--eval-mode", "--input", "--mode",
+        "--objective", "--property", "--seed", "--space", "--tagger", "--trials-out",
+    ],
+    "predict": ["--input", "--model", "--out", "--text"],
+    "gradcheck": [
+        "--cell", "--embedding", "--layers", "--length", "--seed", "--tol", "--units", "--vocab",
+    ],
+}
+
+
+def test_settable_flags_of_each_subcommand():
+    commands = build_parser()._subparsers._group_actions[0].choices  # no public API
+    flags = {
+        name: sorted(
+            option for action in sub._actions if action.dest != "help"
+            for option in action.option_strings
+        )
+        for name, sub in commands.items()
+    }
+    assert flags == SETTABLE_FLAGS
+    assert sum(len(names) for names in flags.values()) == 71
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("preprocess --input DATA --out NO_DIR --vocab-out OUT", "--out"),
+    ("preprocess --input DATA --out OUT --vocab-out NO_DIR", "--vocab-out"),
+    ("synth --n 3 --out NO_DIR", "--out"),
+    ("train --input DATA --property singular --epochs 1 --out NO_DIR", "--out"),
+    ("train --input DATA --property singular --epochs 1 --out OUT --curve NO_DIR", "--curve"),
+    ("evaluate --model MODEL --input DATA --out NO_DIR", "--out"),
+    ("evaluate --model MODEL --input DATA --report NO_DIR", "--report"),
+    ("crossval --input DATA --property singular --folds 2 --report NO_DIR", "--report"),
+    ("search --input DATA --property singular --mode exhaustive --eval-mode cv:2 --space SPACE "
+     "--trials-out NO_DIR", "--trials-out"),
+    ("predict --model MODEL --input DATA --out NO_DIR", "--out"),
+], ids=lambda value: value.split()[0])
+def test_missing_output_directory_exits_2_before_any_work(workdir, tmp_path, capsys, argv, flag):
+    space = tmp_path / "space.json"
+    tiny_space(space)
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"DATA": workdir.dataset, "MODEL": workdir.model, "SPACE": space,
+             "OUT": out / "written", "NO_DIR": tmp_path / "missing" / "written"}
+    code = main([str(paths.get(token, token)) for token in argv.split()])
+    assert code == 2
+    assert f"error: {flag}: directory {tmp_path / 'missing'} does not exist" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    assert not (tmp_path / "missing").exists()
 
 
 def test_no_subcommand_exits_2():

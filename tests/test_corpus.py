@@ -63,8 +63,8 @@ class TestSchema:
 
     def test_label_lookup(self):
         req = Requirement(id="a", text="x", labels={PropertyName.COMPLETE: False})
-        assert req.label_for(PropertyName.COMPLETE) is False
-        assert req.label_for(PropertyName.SINGULAR) is None
+        assert req.labels.get(PropertyName.COMPLETE) is False
+        assert req.labels.get(PropertyName.SINGULAR) is None
 
     def test_labeled_subset_and_unlabeled_count(self):
         ds = make_dataset(n=10, labeled_every=2)
@@ -78,8 +78,8 @@ class TestFileRoundTrip:
         ds = generate_synthetic(25, seed=3)
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
-        loaded = load_dataset(path, name=ds.name)
-        assert loaded.name == ds.name
+        loaded = load_dataset(path)
+        assert loaded.name == path.stem
         assert loaded.requirements == ds.requirements
 
     def test_save_is_canonical(self, tmp_path):
@@ -271,6 +271,15 @@ class TestSplits:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ParameterError):
                 holdout_split(ds, PropertyName.SINGULAR, bad, seed=0)
+
+    @pytest.mark.parametrize("fraction,train,held", [(0.99, 40, 0), (0.001, 0, 40)])
+    def test_holdout_refuses_an_empty_part(self, fraction, train, held):
+        # round(fraction * 40) is 40 or 0: one part would be empty
+        ds = generate_synthetic(40, seed=0)
+        message = f"split of the 40 requirements .* leaves {train} to train and {held} to hold out"
+        with pytest.raises(ParameterError, match=message) as err:
+            holdout_split(ds, PropertyName.SINGULAR, fraction, seed=0)
+        assert f"{fraction:g}/" in str(err.value)
 
     def test_frozen_memberships(self):
         # the seeded shuffle and the cuts fix which requirements land where

@@ -11,6 +11,7 @@ from reqqual.corpus import (
     PropertyName,
     Requirement,
     generate_synthetic,
+    holdout_split,
 )
 from reqqual.errors import ParameterError, StructuralError
 from reqqual.evaluation import (
@@ -26,6 +27,7 @@ from reqqual.evaluation import (
     cross_validate,
     evaluate_model,
     f1_score,
+    holdout_evaluate,
 )
 from reqqual.nn import CellType, ModelConfig, ParameterSet, forward
 from reqqual.numcore import Rng
@@ -276,6 +278,37 @@ def test_cross_validate_learns_planted_signal():
     train = TrainConfig(learning_rate=0.05, epochs=10, batch_size=16, seed=0)
     result = cross_validate(cv_dataset(60, seed=4), PropertyName.SINGULAR, config, train, k=3, seed=2)
     assert result.aggregate["accuracy"] >= 0.8
+
+
+# ---------------------------------------------------------------- holdout_evaluate
+
+
+def test_holdout_evaluate_sizes_model_and_metrics():
+    dataset = cv_dataset(30)
+    fraction = 0.7
+    result = holdout_evaluate(dataset, PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, fraction, seed=3)
+    n = len(dataset.labeled(PropertyName.SINGULAR))
+    assert result.train_size + result.test_size == n
+    assert result.test_size == n - round(fraction * n)
+    assert result.model_config.vocab_size == result.vocabulary.size
+    assert result.metrics.counts.total == result.test_size
+
+    # the returned params and vocabulary, saved as a model, score the test split alike
+    artifact = ModelArtifact(
+        property=PropertyName.SINGULAR,
+        model_config=result.model_config,
+        vocabulary=result.vocabulary,
+        params=result.params,
+        tagger_mode=TaggerMode.RULES,
+        seed=3,
+    )
+    _, test = holdout_split(dataset, PropertyName.SINGULAR, fraction, seed=3)
+    metrics, _ = evaluate_model(artifact, test)
+    assert metrics.accuracy == result.metrics.accuracy
+
+    again = holdout_evaluate(dataset, PropertyName.SINGULAR, CV_MODEL, CV_TRAIN, fraction, seed=3)
+    for name, array in result.params.arrays.items():
+        assert array.tobytes() == again.params.arrays[name].tobytes(), name
 
 
 # ---------------------------------------------------------------- evaluate_model

@@ -27,6 +27,7 @@ from reqqual.textpipe import (
     parse_pretagged,
     tag_text,
     tokenize,
+    write_csv,
 )
 
 
@@ -400,3 +401,9 @@ class TestEncoding:
         vocab = build_vocabulary(tagged)
         for tokens in tagged:
             assert UNK_ID not in encode(tokens, vocab).ids
+
+
+def test_write_csv_bytes(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, [["epoch", "loss", "cell"], ["1", "", "gru"], ["2", "0.5", "réseau"]])
+    assert path.read_bytes() == "epoch,loss,cell\n1,,gru\n2,0.5,réseau\n".encode("utf-8")
