@@ -41,6 +41,7 @@ from .corpus import (
 from .errors import ParameterError, ReqqualError, TrainingError
 from .evaluation import METRIC_NAMES, cross_validate, encode_labeled, evaluate_model
 from .nn import CellType, ModelConfig
+from .numcore import blas_threads
 from .search import Candidate, SearchSpace, preset_candidate, run_search
 from .textpipe import (
     RulesTagger,
@@ -89,6 +90,12 @@ def _resolve_candidate(args: argparse.Namespace, prop: PropertyName) -> Candidat
     base = preset_candidate(prop) if args.preset == "paper" else _FALLBACK
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(Candidate)}
     return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _add_jobs_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--jobs", type=int, metavar="N",
+                     help="worker processes for the fits (default: the usable CPUs; "
+                          "each worker holds one model)")
 
 
 def _clip_norm(args: argparse.Namespace) -> float | None:
@@ -223,7 +230,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         dataset, prop,
         candidate.model_config(vocab_size=3),
         candidate.train_config(args.seed, args.batch_size, _clip_norm(args)),
-        k=args.folds, seed=args.seed, tagger_mode=mode,
+        k=args.folds, seed=args.seed, tagger_mode=mode, jobs=args.jobs,
     )
     report_path = Path(args.report)
     result.save_json(report_path)
@@ -247,7 +254,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         dataset, prop, space,
         mode=args.mode, budget=args.budget, eval_mode=args.eval_mode,
         objective=args.objective, seed=args.seed, batch_size=args.batch_size,
-        clip_norm=_clip_norm(args), tagger_mode=mode,
+        clip_norm=_clip_norm(args), tagger_mode=mode, jobs=args.jobs,
     )
     report.save_trials_csv(args.trials_out)
     print(f"{prop.value}: {report.summary()} -> {args.trials_out}")
@@ -347,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", parents=[dataset_flags], help="k-fold cross-validation")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--report", required=True, help="report JSON output")
+    _add_jobs_flag(p)
     _add_model_flags(p)
     p.set_defaults(func=cmd_crossval)
 
@@ -358,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=METRIC_NAMES)
     p.add_argument("--space", help="search-space JSON (default: full grid)")
     p.add_argument("--trials-out", default="trials.csv", help="trials CSV output")
+    _add_jobs_flag(p)
     _add_batch_flags(p)
     p.set_defaults(func=cmd_search)
 
@@ -391,12 +400,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for dest in _OUTPUT_FLAGS:  # refuse a missing output directory before any work
+        for dest in _OUTPUT_FLAGS:  # refuse an unwritable output path before any work
             path = getattr(args, dest, None)
+            flag = "--" + dest.replace("_", "-")
             if path is not None and not Path(path).parent.is_dir():
-                flag = "--" + dest.replace("_", "-")
                 raise ParameterError(f"{flag}: directory {Path(path).parent} does not exist")
-        return args.func(args)
+            if path is not None and Path(path).is_dir():
+                raise ParameterError(f"{flag}: {path} is a directory")
+        # one BLAS thread, so that a fixed seed writes the same bytes on any CPU count
+        with blas_threads(1):
+            return args.func(args)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,8 @@ rather than raising.
 from __future__ import annotations
 
 import dataclasses
+import os
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,8 +24,9 @@ import numpy as np
 
 from .artifact import ModelArtifact
 from .corpus import Dataset, FoldPlan, PropertyName, holdout_split, make_folds
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError, ReqqualError, StructuralError
 from .nn import ModelConfig, classify, forward_batch
+from .numcore import blas_threads
 from .textpipe import RulesTagger, TaggerMode, build_vocabulary, encode, tag_text, write_json
 from .train import LossCurve, TrainConfig, fit
 
@@ -195,6 +198,102 @@ def _fit_and_score(encoded, train_ids, test_ids, model_config, train_config):
     return params, curve, compute_metrics(classify(probs), labels, probs)
 
 
+def _timed_fit(encoded, job, keep_params):
+    started = time.perf_counter()
+    params, curve, metrics = _fit_and_score(encoded, *job)
+    return (params if keep_params else None), curve, metrics, time.perf_counter() - started
+
+
+_worker_state = None  # (encoded, jobs, keep_params), set in each pool worker by _start_worker
+
+
+def _start_worker(*state):
+    global _worker_state
+    _worker_state = state
+
+
+def _worker_fit(index):
+    encoded, jobs, keep_params = _worker_state
+    with blas_threads(1):
+        return _timed_fit(encoded, jobs[index], keep_params)
+
+
+def check_jobs(jobs) -> None:
+    """Refuse a worker count that is not None or an integer >= 1."""
+    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1):
+        raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
+def run_fits(encoded, jobs, workers: int | None = None, keep_params: bool = False) -> list:
+    """Run `_fit_and_score(encoded, *job)` for each job of `jobs`, which are
+    (train ids, test ids, model config, train config) tuples.
+
+    Returns (params, curve, Metrics, seconds) per job, in job order; params is
+    None unless `keep_params`.  With more than one job and more than one
+    worker, the jobs run in min(workers, len(jobs)) forked processes, each at
+    1 BLAS thread, which inherit `encoded` and `jobs` instead of receiving
+    them pickled.  `workers` defaults to the usable CPUs when the BLAS thread
+    count can be pinned, else 1.  Otherwise the jobs run here, at the
+    caller's BLAS thread count; at 1 thread the results are the same bytes
+    either way.
+    """
+    if workers is None and len(jobs) > 1:
+        with blas_threads(1) as pinned:
+            workers = len(os.sched_getaffinity(0)) if pinned else 1
+    workers = min(workers or 1, len(jobs))
+    if workers <= 1:
+        return [_timed_fit(encoded, job, keep_params) for job in jobs]
+
+    # Fork, not spawn: a worker then starts without importing numpy again and
+    # shares `encoded` copy-on-write.  reqqual starts no Python threads,
+    # OpenBLAS shuts its threads down before a fork, and each worker pins its
+    # BLAS to 1 thread per job.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(encoded, jobs, keep_params),
+    )
+    try:
+        futures = [pool.submit(_worker_fit, i) for i in range(len(jobs))]
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        raise ReqqualError(
+            f"a worker process died before its fit finished ({workers} workers; "
+            f"if memory ran out, use fewer jobs)"
+        ) from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _cv_jobs(plan: FoldPlan, config: ModelConfig, train_config: TrainConfig, seed: int):
+    """One job per fold: fold i trains with seed `seed ^ i` outside fold i."""
+    return [
+        (plan.complement(i), plan.fold_members(i), config,
+         dataclasses.replace(train_config, seed=seed ^ i))
+        for i in range(plan.k)
+    ]
+
+
+def _cv_result(prop, config, train_config, seed, plan, outcomes) -> CvResult:
+    folds = [metrics for _, _, metrics, _ in outcomes]
+    best_fold = max(range(plan.k), key=lambda i: folds[i].accuracy)
+    return CvResult(
+        property=prop,
+        model_config=config,
+        train_config=train_config,
+        k=plan.k,
+        seed=seed,
+        folds=folds,
+        aggregate=aggregate_metrics(folds),
+        best_fold=best_fold,
+        curves=[curve for _, curve, _, _ in outcomes],
+        plan=plan,
+    )
+
+
 def cross_validate(
     dataset: Dataset,
     prop: PropertyName,
@@ -203,42 +302,23 @@ def cross_validate(
     k: int,
     seed: int,
     tagger_mode: TaggerMode = TaggerMode.RULES,
+    jobs: int | None = None,
 ) -> CvResult:
     """k-fold cross-validation of one property's classifier.
 
     The tag vocabulary is built over the whole labeled subset (every tag
     used at least once), and `model_config.vocab_size` is replaced by
     its size.  Fold i trains with seed `seed ^ i` on everything outside
-    fold i and is evaluated on fold i.
+    fold i and is evaluated on fold i.  The folds run through `run_fits`
+    with `jobs` workers.
     """
     prop = PropertyName(prop)
+    check_jobs(jobs)
     plan = make_folds(dataset, prop, k, seed)
     vocab, encoded = encode_labeled(dataset, prop, tagger_mode)
     config = dataclasses.replace(model_config, vocab_size=vocab.size)
-
-    folds: list[Metrics] = []
-    curves: list[LossCurve] = []
-    for i in range(k):
-        fold_cfg = dataclasses.replace(train_config, seed=seed ^ i)
-        _, curve, metrics = _fit_and_score(
-            encoded, plan.complement(i), plan.fold_members(i), config, fold_cfg
-        )
-        folds.append(metrics)
-        curves.append(curve)
-
-    best_fold = max(range(k), key=lambda i: folds[i].accuracy)
-    return CvResult(
-        property=prop,
-        model_config=config,
-        train_config=train_config,
-        k=k,
-        seed=seed,
-        folds=folds,
-        aggregate=aggregate_metrics(folds),
-        best_fold=best_fold,
-        curves=curves,
-        plan=plan,
-    )
+    outcomes = run_fits(encoded, _cv_jobs(plan, config, train_config, seed), jobs)
+    return _cv_result(prop, config, train_config, seed, plan, outcomes)
 
 
 @dataclass
@@ -254,6 +334,33 @@ class HoldoutResult:
     params: object = None
     curve: LossCurve | None = None
     vocabulary: object = None
+
+
+def _holdout_job(split, config: ModelConfig, train_config: TrainConfig, seed: int):
+    """The job that trains on the first part of `split` with seed `seed`, scores the second."""
+    train_ds, test_ds = split
+    return (
+        [r.id for r in train_ds.requirements], [r.id for r in test_ds.requirements],
+        config, dataclasses.replace(train_config, seed=seed),
+    )
+
+
+def _holdout_result(prop, job, fraction, seed, outcome, vocab) -> HoldoutResult:
+    train_ids, test_ids, config, fit_cfg = job
+    params, curve, metrics, _ = outcome
+    return HoldoutResult(
+        property=prop,
+        model_config=config,
+        train_config=fit_cfg,
+        seed=seed,
+        train_fraction=fraction,
+        metrics=metrics,
+        train_size=len(train_ids),
+        test_size=len(test_ids),
+        params=params,
+        curve=curve,
+        vocabulary=vocab,
+    )
 
 
 def holdout_evaluate(
@@ -273,27 +380,12 @@ def holdout_evaluate(
     so callers can persist the model.
     """
     prop = PropertyName(prop)
-    train_ds, test_ds = holdout_split(dataset, prop, train_fraction, seed)
+    split = holdout_split(dataset, prop, train_fraction, seed)
     vocab, encoded = encode_labeled(dataset, prop, tagger_mode)
     config = dataclasses.replace(model_config, vocab_size=vocab.size)
-    fit_cfg = dataclasses.replace(train_config, seed=seed)
-    params, curve, metrics = _fit_and_score(
-        encoded, [r.id for r in train_ds.requirements], [r.id for r in test_ds.requirements],
-        config, fit_cfg,
-    )
-    return HoldoutResult(
-        property=prop,
-        model_config=config,
-        train_config=fit_cfg,
-        seed=seed,
-        train_fraction=train_fraction,
-        metrics=metrics,
-        train_size=len(train_ds),
-        test_size=len(test_ds),
-        params=params,
-        curve=curve,
-        vocabulary=vocab,
-    )
+    job = _holdout_job(split, config, train_config, seed)
+    (outcome,) = run_fits(encoded, [job], keep_params=True)
+    return _holdout_result(prop, job, train_fraction, seed, outcome, vocab)
 
 
 # Rows per forward_batch call in evaluate_model, so that inference memory is

@@ -9,9 +9,17 @@ counter-based Philox generator keyed by ``(seed, stream)``.  Two
 instances built from the same pair yield the same draw sequence on any
 platform, and disjoint stream ids give independent streams, so parallel
 work (search trials, folds) stays reproducible.
+
+Results also depend on the BLAS thread count, because a threaded matmul
+sums in another order: :func:`blas_threads` pins it where numpy's bundled
+OpenBLAS allows.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +51,47 @@ class Rng:
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream={self.stream})"
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None for another BLAS."""
+    import ctypes  # numpy has loaded it already
+
+    libs = Path(np.__file__).parents[1] / "numpy.libs"  # where numpy's Linux wheels put it
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded: same path, same handle
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the block with BLAS at `n` threads, then restore the previous count.
+
+    Yields whether the count took effect.  Only numpy's bundled OpenBLAS
+    (``scipy_openblas``) exposes the calls; with another BLAS nothing changes,
+    it yields False, and the count must be set before numpy loads, for
+    example with ``OPENBLAS_NUM_THREADS=1``.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, set_ = calls
+    before = get()
+    set_(n)
+    try:
+        yield get() == n
+    finally:
+        set_(before)
 
 
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

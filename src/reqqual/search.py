@@ -10,27 +10,32 @@ Two modes: ``exhaustive`` walks the whole grid in lexicographic order;
 trial trains and scores one candidate, either by k-fold cross-validation
 or a single holdout split.  Everything is deterministic given the seed,
 and each trial derives its randomness from its own stream (stream id =
-trial index), so trials could run in parallel without changing results.
+trial index), so trials run in parallel without changing results: every
+(trial, fold) fit is one job of one ``evaluation.run_fits`` call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .corpus import Dataset, PropertyName
+from .corpus import Dataset, PropertyName, holdout_split, make_folds
 from .errors import ParameterError, StructuralError
 from .evaluation import (
     METRIC_NAMES,
     CvResult,
     HoldoutResult,
+    _cv_jobs,
+    _cv_result,
+    _holdout_job,
+    _holdout_result,
     aggregate_metrics,
-    cross_validate,
-    holdout_evaluate,
+    check_jobs,
+    encode_labeled,
+    run_fits,
 )
 from .nn import CellType, ModelConfig
 from .numcore import Rng
@@ -309,6 +314,7 @@ def run_search(
     clip_norm: float | None = TrainConfig.clip_norm,
     tagger_mode: TaggerMode = TaggerMode.RULES,
     keep_results: bool = False,
+    jobs: int | None = None,
 ) -> SearchReport:
     """Train and score candidates; pick the best by the objective metric.
 
@@ -317,15 +323,19 @@ def run_search(
     takes no budget.  The objective is any Metrics field name; mse is
     compared negated so that the best trial is always the argmax of
     `SearchTrial.objective`, ties broken by lower trial index.
+
+    The labeled subset is tagged once.  Every fit of every trial (one per
+    fold in cv mode) is one job of a single `run_fits` call with `jobs`
+    workers, and a trial's `seconds` is the sum of its fits' times.
     """
     prop = PropertyName(prop)
     space = space or SearchSpace()
+    check_jobs(jobs)
     if objective not in METRIC_NAMES:
         raise ParameterError(
             f"objective must be one of {sorted(METRIC_NAMES)}, got {objective!r}"
         )
     kind, value = parse_eval_mode(eval_mode)
-    evaluate = cross_validate if kind == "cv" else holdout_evaluate
     size = space.size
     if mode == "random":
         if budget is None:
@@ -346,18 +356,33 @@ def run_search(
     else:
         raise ParameterError(f"mode must be 'random' or 'exhaustive', got {mode!r}")
 
-    trials: list[SearchTrial] = []
+    # every split before any tagging or fitting, so a bad split fails first
+    splits = []
     for t, config_index in enumerate(indices):
-        candidate = space.config_at(config_index)
         trial_seed = int(Rng(seed, stream=t).integers(0, 2**63 - 1))  # one stream per trial
-        model_cfg = candidate.model_config(vocab_size=3)
+        split = (make_folds if kind == "cv" else holdout_split)(dataset, prop, value, trial_seed)
+        splits.append((space.config_at(config_index), trial_seed, split))
+    vocab, encoded = encode_labeled(dataset, prop, tagger_mode)
+    planned = []
+    for candidate, trial_seed, split in splits:
+        config = candidate.model_config(vocab.size)
         train_cfg = candidate.train_config(trial_seed, batch_size, clip_norm)
-        started = time.perf_counter()
-        result = evaluate(
-            dataset, prop, model_cfg, train_cfg, value, trial_seed, tagger_mode=tagger_mode
-        )
-        scores = aggregate_metrics(result.folds if kind == "cv" else [result.metrics])
-        seconds = time.perf_counter() - started
+        fits = (_cv_jobs(split, config, train_cfg, trial_seed) if kind == "cv"
+                else [_holdout_job(split, config, train_cfg, trial_seed)])
+        planned.append((candidate, trial_seed, split, config, train_cfg, fits))
+    outcomes = iter(run_fits(
+        encoded, [job for *_, fits in planned for job in fits], jobs,
+        keep_params=keep_results and kind == "holdout",
+    ))
+
+    trials: list[SearchTrial] = []
+    for t, (candidate, trial_seed, split, config, train_cfg, fits) in enumerate(planned):
+        done = [next(outcomes) for _ in fits]
+        if kind == "cv":
+            result = _cv_result(prop, config, train_cfg, trial_seed, split, done)
+        else:
+            result = _holdout_result(prop, fits[0], value, trial_seed, done[0], vocab)
+        scores = aggregate_metrics([metrics for _, _, metrics, _ in done])
         objective_value = -scores["mse"] if objective == "mse" else scores[objective]
         trials.append(
             SearchTrial(
@@ -365,7 +390,7 @@ def run_search(
                 candidate=candidate,
                 scores=scores,
                 objective=objective_value,
-                seconds=seconds,
+                seconds=sum(seconds for *_, seconds in done),
                 result=result if keep_results else None,
             )
         )

@@ -856,7 +856,7 @@ def test_writers_golden_bytes(tmp_path):
 # ---------------------------------------------------------------- parser
 
 
-# The settable flags of each subcommand, 71 in all.  A change to the CLI surface
+# The settable flags of each subcommand, 73 in all.  A change to the CLI surface
 # changes this table.
 SETTABLE_FLAGS = {
     "preprocess": ["--input", "--out", "--tagger", "--vocab-in", "--vocab-out"],
@@ -869,11 +869,11 @@ SETTABLE_FLAGS = {
     "evaluate": ["--input", "--model", "--out", "--property", "--report"],
     "crossval": [
         "--batch-size", "--cell", "--clip-norm", "--dropout", "--embedding", "--epochs",
-        "--folds", "--input", "--layers", "--lr", "--preset", "--property", "--report", "--seed",
-        "--tagger", "--units",
+        "--folds", "--input", "--jobs", "--layers", "--lr", "--preset", "--property", "--report",
+        "--seed", "--tagger", "--units",
     ],
     "search": [
-        "--batch-size", "--budget", "--clip-norm", "--eval-mode", "--input", "--mode",
+        "--batch-size", "--budget", "--clip-norm", "--eval-mode", "--input", "--jobs", "--mode",
         "--objective", "--property", "--seed", "--space", "--tagger", "--trials-out",
     ],
     "predict": ["--input", "--model", "--out", "--text"],
@@ -893,10 +893,11 @@ def test_settable_flags_of_each_subcommand():
         for name, sub in commands.items()
     }
     assert flags == SETTABLE_FLAGS
-    assert sum(len(names) for names in flags.values()) == 71
+    assert sum(len(names) for names in flags.values()) == 73
 
 
-@pytest.mark.parametrize("argv,flag", [
+# Each output flag, with UNWRITABLE where the path goes.
+_OUTPUT_CASES = pytest.mark.parametrize("argv,flag", [
     ("preprocess --input DATA --out NO_DIR --vocab-out OUT", "--out"),
     ("preprocess --input DATA --out OUT --vocab-out NO_DIR", "--vocab-out"),
     ("synth --n 3 --out NO_DIR", "--out"),
@@ -909,18 +910,37 @@ def test_settable_flags_of_each_subcommand():
      "--trials-out NO_DIR", "--trials-out"),
     ("predict --model MODEL --input DATA --out NO_DIR", "--out"),
 ], ids=lambda value: value.split()[0])
-def test_missing_output_directory_exits_2_before_any_work(workdir, tmp_path, capsys, argv, flag):
+
+
+def _run_with_output_at(target, workdir, tmp_path, argv):
+    """main(argv) with NO_DIR replaced by `target`; returns (exit code, the untouched OUT dir)."""
     space = tmp_path / "space.json"
     tiny_space(space)
     out = tmp_path / "out"
     out.mkdir()
     paths = {"DATA": workdir.dataset, "MODEL": workdir.model, "SPACE": space,
-             "OUT": out / "written", "NO_DIR": tmp_path / "missing" / "written"}
-    code = main([str(paths.get(token, token)) for token in argv.split()])
+             "OUT": out / "written", "NO_DIR": target}
+    return main([str(paths.get(token, token)) for token in argv.split()]), out
+
+
+@_OUTPUT_CASES
+def test_missing_output_directory_exits_2_before_any_work(workdir, tmp_path, capsys, argv, flag):
+    code, out = _run_with_output_at(tmp_path / "missing" / "written", workdir, tmp_path, argv)
     assert code == 2
     assert f"error: {flag}: directory {tmp_path / 'missing'} does not exist" in capsys.readouterr().err
     assert not any(out.iterdir())
     assert not (tmp_path / "missing").exists()
+
+
+@_OUTPUT_CASES
+def test_directory_as_output_path_exits_2_before_any_work(workdir, tmp_path, capsys, argv, flag):
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    code, out = _run_with_output_at(target, workdir, tmp_path, argv)
+    assert code == 2
+    assert f"error: {flag}: {target} is a directory" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    assert not any(target.iterdir())
 
 
 def test_no_subcommand_exits_2():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reqqual import numcore
 from reqqual.errors import StructuralError
 from reqqual.numcore import (
     Rng,
+    blas_threads,
     glorot_uniform,
     sigmoid,
     softmax,
@@ -139,3 +141,31 @@ class TestRng:
         assert len(picks) == 10
         assert len(set(picks.tolist())) == 10
         assert all(0 <= p < 50 for p in picks.tolist())
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def thread_count(self):
+        calls = numcore._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("this numpy's BLAS thread count cannot be set at run time")
+        return calls[0]
+
+    def test_sets_the_count_in_the_block_and_restores_it(self, thread_count):
+        before = thread_count()
+        with blas_threads(1) as pinned:
+            assert pinned
+            assert thread_count() == 1
+        assert thread_count() == before
+
+    def test_restores_the_count_after_an_error(self, thread_count):
+        before = thread_count()
+        with pytest.raises(KeyError):
+            with blas_threads(1):
+                raise KeyError("boom")
+        assert thread_count() == before
+
+    def test_reports_false_and_changes_nothing_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(numcore, "_openblas_thread_calls", lambda: None)
+        with blas_threads(1) as pinned:
+            assert pinned is False
