@@ -185,6 +185,8 @@ def test_huge_jobs_starts_one_worker_per_fit(data, tmp_path, monkeypatch):
 
     def recording_pool(max_workers, **kwargs):
         pools.append(max_workers)
+        if max_workers > 2:  # never start the huge pool a broken cap would ask for
+            raise AssertionError(f"asked for {max_workers} workers for 2 fits")
         return real_pool(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
