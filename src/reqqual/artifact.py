@@ -61,14 +61,14 @@ class ModelArtifact:
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
     manifest = []
     offset = 0
-    blobs = []
+    blobs = []  # each array's own buffer where it is contiguous little-endian, no copy
     for name, arr in artifact.params.arrays.items():
         rows = arr.shape[0]
         cols = arr.shape[1] if arr.ndim == 2 else 0
         manifest.append({"name": name, "rows": rows, "cols": cols, "offset": offset})
-        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        blob = np.ascontiguousarray(arr, dtype="<f8")
         blobs.append(blob)
-        offset += len(blob)
+        offset += blob.nbytes
     header = {
         "format_version": FORMAT_VERSION,
         "property": artifact.property.value,
@@ -154,7 +154,7 @@ def load_model(path: str | Path) -> ModelArtifact:
     if [m.get("name") for m in manifest] != [name for name, _ in expected]:
         raise ArtifactError("parameter manifest does not match the model configuration")
 
-    payload = raw[pos:]
+    payload = memoryview(raw)[pos:]  # a view: the payload is most of the file
     arrays: dict[str, np.ndarray] = {}
     offset_check = 0
     for entry, (name, shape) in zip(manifest, expected):

@@ -26,7 +26,7 @@ from .artifact import ModelArtifact
 from .corpus import Dataset, FoldPlan, PropertyName, holdout_split, make_folds
 from .errors import ParameterError, ReqqualError, StructuralError
 from .nn import ModelConfig, classify, forward_batch
-from .numcore import blas_threads
+from .numcore import blas_threads, helper_off
 from .textpipe import RulesTagger, TaggerMode, build_vocabulary, encode, tag_text, write_json
 from .train import LossCurve, TrainConfig, fit
 
@@ -214,7 +214,7 @@ def _start_worker(*state):
 
 def _worker_fit(index):
     encoded, jobs, keep_params = _worker_state
-    with blas_threads(1):
+    with blas_threads(1), helper_off():  # the workers already fill the CPUs
         return _timed_fit(encoded, jobs[index], keep_params)
 
 
@@ -245,9 +245,11 @@ def run_fits(encoded, jobs, workers: int | None = None, keep_params: bool = Fals
         return [_timed_fit(encoded, job, keep_params) for job in jobs]
 
     # Fork, not spawn: a worker then starts without importing numpy again and
-    # shares `encoded` copy-on-write.  reqqual starts no Python threads,
-    # OpenBLAS shuts its threads down before a fork, and each worker pins its
-    # BLAS to 1 thread per job.
+    # shares `encoded` copy-on-write.  The only Python thread reqqual starts
+    # is numcore's split helper, which waits idle between splits and which a
+    # forked child forgets (os.register_at_fork).  OpenBLAS shuts its threads
+    # down before a fork.  Each worker runs at 1 BLAS thread per job, with
+    # no helper thread.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool

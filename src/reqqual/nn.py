@@ -34,7 +34,11 @@ once per call, and are stored apart from the tanh candidate (GRU s, LSTM
 g): numpy updates a column slice in place 2-3x slower than whole rows.
 Rows run longest first, so finished rows are skipped instead of masked.
 Backward keeps only the recurrent products inside the time loop and
-forms every weight gradient as one matmul after it.
+forms every weight gradient as one matmul after it.  These products (h .
+W^T forward, dh_prev and dq back, part^T . x for the weights) go through
+numcore.matmul_for: at large shapes it computes each as two column blocks,
+one of them in a helper thread, and the blocks equal the whole product bit
+for bit.
 Inference keeps no caches, only h (and c) and the outputs of a layer that
 another layer reads.
 
@@ -54,7 +58,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .numcore import Rng, glorot_uniform, sigmoid, softmax, tanh
+from .numcore import Rng, glorot_uniform, matmul_for, sigmoid, softmax, tanh
 from .textpipe import EncodedSequence
 
 NUM_CLASSES = 2
@@ -506,7 +510,7 @@ def _transposed(ws):
     return np.concatenate([w.T for w in ws], axis=1)
 
 
-def _step_inputs(k, below, params, us, biases, steps, active):
+def _step_inputs(k, below, params, us, biases, steps, active, mm):
     """Yield per step t the input pre-activations of the running rows [:active[t]].
 
     Layer 0 projects the embedding once into a V x G*H table and gathers
@@ -517,7 +521,7 @@ def _step_inputs(k, below, params, us, biases, steps, active):
     """
     bias = None if biases is None else np.concatenate(biases)
     if k == 0:
-        table = np.concatenate([params.arrays["embedding"] @ u.T for u in us], axis=1)
+        table = np.concatenate([mm(params.arrays["embedding"], u.T) for u in us], axis=1)
         if bias is not None:
             table += bias
         for t, n in enumerate(active):
@@ -525,20 +529,21 @@ def _step_inputs(k, below, params, us, biases, steps, active):
     else:
         ut = _transposed(us)
         for t, n in enumerate(active):
-            x = below[t, :n] @ ut
+            x = mm(below[t, :n], ut)
             if bias is not None:
                 x += bias
             yield x
 
 
-def _gru_rows(zr, s, x, hp, wt, out):
+def _gru_rows(zr, s, x, hp, wt, out, mm):
     """One GRU step of rows hp (n, H): fills zr (n, 2H) with z|r, s (n, H)
-    with s and out with the new h (out may be hp).  wt is (W_z^T | W_r^T, W_s^T)."""
+    with s and out with the new h (out may be hp).  wt is (W_z^T | W_r^T, W_s^T),
+    mm the call's matmul (numcore.matmul_for)."""
     h = hp.shape[1]
-    np.matmul(hp, wt[0], out=zr)
+    mm(hp, wt[0], out=zr)
     zr += x[:, : 2 * h]
     sigmoid(zr, out=zr)
-    np.matmul(hp * zr[:, h:], wt[1], out=s)
+    mm(hp * zr[:, h:], wt[1], out=s)
     s += x[:, 2 * h :]
     tanh(s, out=s)
     np.subtract(hp, s, out=out)  # h = s + z * (hp - s)
@@ -546,15 +551,15 @@ def _gru_rows(zr, s, x, hp, wt, out):
     out += s
 
 
-def _lstm_rows(fio, g, x, hp, cp, wt, h_out, c_out):
+def _lstm_rows(fio, g, x, hp, cp, wt, h_out, c_out, mm):
     """One LSTM step of rows hp, cp (n, H): fills fio (n, 3H) with f|i|o, g (n, H)
     with g, h_out and c_out (may be hp and cp) with the new h and c.  wt is
     (W_f^T | W_i^T | W_o^T, W_g^T), recurrent parts only."""
     h = hp.shape[1]
-    np.matmul(hp, wt[0], out=fio)
+    mm(hp, wt[0], out=fio)
     fio += x[:, : 3 * h]
     sigmoid(fio, out=fio)
-    np.matmul(hp, wt[1], out=g)
+    mm(hp, wt[1], out=g)
     g += x[:, 3 * h :]
     tanh(g, out=g)
     f, i, o = (fio[:, p * h : (p + 1) * h] for p in range(3))
@@ -599,6 +604,7 @@ def forward_batch(
 
     train = mode is RunMode.TRAIN
     gru = config.cell is CellType.GRU
+    mm = matmul_for(batch, h_units, (2 if gru else 3) * h_units)  # the sigmoid gates' product
     tapes: list[LayerTape] | None = [] if train else None
     below = None
     for k in range(config.num_layers):
@@ -609,15 +615,17 @@ def forward_batch(
         rows = offsets[-1] if train else batch
         gates, cands = np.empty((rows, (len(ws) - 1) * h_units)), np.empty((rows, h_units))
         cs = None if gru else np.zeros((t_max + 1 if train else 1, batch, h_units))
-        inputs = _step_inputs(k, below, params, us, biases, steps, active)
+        inputs = _step_inputs(k, below, params, us, biases, steps, active, mm)
         for t, (n, x) in enumerate(zip(active, inputs)):
             i, j = (t, t + 1) if keep_hs else (0, 0)
             r = slice(offsets[t], offsets[t] + n) if train else slice(n)
             if gru:
-                _gru_rows(gates[r], cands[r], x, hs[i, :n], wt, hs[j, :n])
+                _gru_rows(gates[r], cands[r], x, hs[i, :n], wt, hs[j, :n], mm)
             else:
                 ci, cj = (t, t + 1) if train else (0, 0)
-                _lstm_rows(gates[r], cands[r], x, hs[i, :n], cs[ci, :n], wt, hs[j, :n], cs[cj, :n])
+                _lstm_rows(
+                    gates[r], cands[r], x, hs[i, :n], cs[ci, :n], wt, hs[j, :n], cs[cj, :n], mm
+                )
         if train:
             tapes.append(LayerTape(hs, gates, cands, cs))
         below = hs[1:]
@@ -640,23 +648,23 @@ def forward_batch(
     return probs, trace
 
 
-def _gru_rows_back(d_zr, da_s, dh, zr, s, hp, ws):
+def _gru_rows_back(d_zr, da_s, dh, zr, s, hp, ws, mm):
     """Backward of one GRU step: fills d_zr (n, 2H) and da_s (n, H) with the
     pre-activation gradients of z|r and s, returns dh_prev."""
     h = hp.shape[1]
     dhz = dh * zr[:, :h]
     np.multiply(dh - dhz, 1.0 - s * s, out=da_s)
-    dq = da_s @ ws[2]
+    dq = mm(da_s, ws[2])
     np.multiply(1.0 - zr, zr, out=d_zr)
     d_zr *= np.concatenate([dh * (hp - s), dq * hp], axis=1)
-    dh_prev = d_zr[:, :h] @ ws[0]
-    dh_prev += d_zr[:, h:] @ ws[1]
+    dh_prev = mm(d_zr[:, :h], ws[0])
+    dh_prev += mm(d_zr[:, h:], ws[1])
     dh_prev += dhz
     dh_prev += dq * zr[:, h:]
     return dh_prev
 
 
-def _lstm_rows_back(d_fio, da_g, dh, dc, fio, g, cp, tc, ws):
+def _lstm_rows_back(d_fio, da_g, dh, dc, fio, g, cp, tc, ws, mm):
     """Backward of one LSTM step: fills d_fio (n, 3H) and da_g (n, H) with
     the pre-activation gradients of f|i|o and g, turns dc into dc_prev in
     place, returns dh_prev."""
@@ -666,9 +674,9 @@ def _lstm_rows_back(d_fio, da_g, dh, dc, fio, g, cp, tc, ws):
     np.multiply(1.0 - fio, fio, out=d_fio)
     d_fio *= np.concatenate([dc * cp, dc * g, dh * tc], axis=1)
     np.multiply(dc * i, 1.0 - g * g, out=da_g)
-    dh_prev = da_g @ ws[3]
+    dh_prev = mm(da_g, ws[3])
     for p in range(3):
-        dh_prev += d_fio[:, p * h : (p + 1) * h] @ ws[p]
+        dh_prev += mm(d_fio[:, p * h : (p + 1) * h], ws[p])
     dc *= f
     return dh_prev
 
@@ -682,7 +690,8 @@ def backward_batch(
     """Sum of per-sequence gradients over the batch (caller averages).
 
     `out`, the result of an earlier call under the same configuration, is
-    zeroed and filled instead of allocating new gradients.
+    filled instead of allocating new gradients; only the arrays summed into
+    with += (embedding and head) are zeroed first, the rest are overwritten.
 
     The time loop does only the recurrent dh (and dc) products.  It stores
     every step's pre-activation gradients packed like the tape's gates and
@@ -705,8 +714,8 @@ def backward_batch(
     h_units = config.hidden_units
     grads = zero_gradients(config) if out is None else out
     if out is not None:
-        for g in out.values():
-            g.fill(0.0)
+        for name in ("embedding", "head.w", "head.b"):
+            out[name].fill(0.0)
 
     dlogits = trace.probs.copy()
     dlogits[np.arange(batch), classes] -= 1.0
@@ -722,6 +731,7 @@ def backward_batch(
     # (t, b) slots of the running rows, flat over (T, B), in packed order
     live = np.flatnonzero(np.arange(batch) < np.array(active)[:, None])
     gru = config.cell is CellType.GRU
+    mm = matmul_for(h_units, offsets[-1], max(h_units, config.embedding_dim))  # dW = part.T @ x
     d_out = None  # (tokens, H) packed gradient reaching layer k's outputs from layer k+1
     for k in reversed(range(config.num_layers)):
         tape = trace.layer_caches[k]
@@ -737,10 +747,10 @@ def backward_batch(
             dh_t = dh[:n] if d_out is None else dh[:n] + d_out[rows]
             d_step, cached = (d_gates[rows], d_cands[rows]), (tape.gates[rows], tape.cands[rows])
             if gru:
-                dh[:n] = _gru_rows_back(*d_step, dh_t, *cached, tape.hs[t, :n], ws)
+                dh[:n] = _gru_rows_back(*d_step, dh_t, *cached, tape.hs[t, :n], ws, mm)
             else:
                 dh[:n] = _lstm_rows_back(
-                    *d_step, dh_t, dc[:n], *cached, tape.cs[t, :n], tcs[t, :n], ws
+                    *d_step, dh_t, dc[:n], *cached, tape.cs[t, :n], tcs[t, :n], ws, mm
                 )
 
         parts = [d_gates[:, p * h_units : (p + 1) * h_units] for p in range(len(ws) - 1)]
@@ -753,7 +763,7 @@ def backward_batch(
             for gb, part in zip(gbs, parts):
                 part.sum(axis=0, out=gb)
         for gw, part, x in zip(gws, parts, recurrent_inputs):
-            np.matmul(part.T, x, out=gw)
+            mm(part.T, x, out=gw)
 
         if k == 0:
             embedding = params.arrays["embedding"]
@@ -761,11 +771,11 @@ def backward_batch(
             onehot = (ids == np.arange(config.vocab_size)[:, None]).astype(np.float64)
             for u, gu, part in zip(us, gus, parts):
                 d_part = onehot @ part
-                np.matmul(d_part.T, embedding, out=gu)
+                mm(d_part.T, embedding, out=gu)
                 grads["embedding"] += d_part @ u
         else:
             x = trace.layer_caches[k - 1].hs[1:].reshape(-1, h_units)[live]
             for gu, part in zip(gus, parts):
-                np.matmul(part.T, x, out=gu)
+                mm(part.T, x, out=gu)
             d_out = sum(part @ u for part, u in zip(parts, us))
     return grads

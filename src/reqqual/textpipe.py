@@ -422,7 +422,9 @@ class EncodedSequence:
     ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(map(int, self.ids)))
+        ids = self.ids
+        if type(ids) is not tuple or {*map(type, ids)} != {int}:  # numpy or other int-likes
+            object.__setattr__(self, "ids", tuple(map(int, ids)))
         if not self.ids:
             raise StructuralError("encoded sequence must be non-empty")
         if min(self.ids) < 1:
@@ -437,7 +439,7 @@ def encode(tokens: Sequence[Token], vocab: TagVocabulary) -> EncodedSequence:
     """Map each token's tag to its vocabulary index, UNK for unseen tags."""
     if not tokens:
         raise ParameterError("cannot encode an empty token list")
-    return EncodedSequence(ids=[vocab.index_of(token.tag) for token in tokens])
+    return EncodedSequence(ids=tuple([vocab.index_of(token.tag) for token in tokens]))
 
 
 def decode(sequence: EncodedSequence, vocab: TagVocabulary) -> list[str]:

@@ -245,14 +245,26 @@ def test_jobs_flag_takes_an_integer_of_at_least_1(data, tmp_path_factory, value)
     assert report.exists() == valid
 
 
+# Runs `reqqual` in a child held to the CPUs named by argv[1] ("one" or "all").
+_CLI_ON_CPUS = (
+    "import os, sys; from reqqual.cli import main\n"
+    "if sys.argv[1] == 'one': os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "sys.exit(main(sys.argv[2:]))"
+)
+
+
 def test_train_writes_the_same_bytes_at_1_and_2_blas_threads(tmp_path):
+    """Also on 1 CPU, where the split products and optimizer run without the
+    helper thread: at 512 units both are above numcore's split threshold."""
     data = tmp_path / "data.jsonl"
     save_dataset(generate_synthetic(100, seed=3), data)
+    assert numcore._column_cut(64, 512, 1024) is not None
+    assert 40 * 512 + 6 * 512 * 512 >= numcore.SPLIT_MIN  # the parameter count, about
     models = []  # at batch 32 both counts happen to give the same bytes; at 64 they do not
-    for threads in ("1", "2"):
-        model = tmp_path / f"threads{threads}.rqm"
+    for threads, cpus in (("1", "all"), ("2", "all"), ("1", "one")):
+        model = tmp_path / f"threads{threads}-{cpus}.rqm"
         done = subprocess.run(
-            [sys.executable, "-m", "reqqual.cli", "train", "--input", str(data),
+            [sys.executable, "-c", _CLI_ON_CPUS, cpus, "train", "--input", str(data),
              "--property", "singular", "--units", "512", "--embedding", "512", "--epochs", "1",
              "--batch-size", "64", "--seed", "5", "--out", str(model)],
             env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads),
@@ -260,4 +272,43 @@ def test_train_writes_the_same_bytes_at_1_and_2_blas_threads(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         models.append(model.read_bytes())
-    assert models[0] == models[1]
+    assert models[0] == models[1] == models[2]
+
+
+_FIT_THEN_FORK = """
+import json, os, threading
+from reqqual import evaluation, numcore
+from reqqual.corpus import PropertyName, generate_synthetic
+from reqqual.nn import ModelConfig
+from reqqual.search import preset_candidate
+from reqqual.train import TrainConfig, fit
+
+with numcore.blas_threads(1):
+    fit([((2, 3, 4, 5, 6), 0), ((3, 4), 1)] * 4, ModelConfig("gru", 8, 512, 512),
+        TrainConfig(0.01, 1, batch_size=8))
+    started = any(t.name == "reqqual-split" for t in threading.enumerate())
+    assert started == (len(os.sched_getaffinity(0)) >= 2), started
+    dataset = generate_synthetic(20, seed=2)
+    candidate = preset_candidate(PropertyName.SINGULAR)
+    reports = [
+        json.dumps(evaluation.cross_validate(
+            dataset, PropertyName.SINGULAR, candidate.model_config(vocab_size=3),
+            candidate.train_config(0, 2), k=2, seed=0, jobs=jobs,
+        ).to_json())
+        for jobs in (2, 1)
+    ]
+    assert reports[0] == reports[1]
+    pid = os.fork()  # a child forked by hand starts a helper of its own
+    if pid == 0:
+        os._exit(0 if numcore.run_split(lambda part: part, [0, 1]) == [0, 1] else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+print("ok")
+"""
+
+
+def test_a_process_forked_after_the_helper_thread_started_finishes():
+    done = subprocess.run([sys.executable, "-c", _FIT_THEN_FORK],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -1,4 +1,10 @@
-"""Numeric kernel tests: frozen activation values, shape checks, seeded RNG."""
+"""Numeric kernel tests: frozen activation values, shape checks, seeded RNG,
+and work split over two threads."""
+
+import functools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -169,3 +175,159 @@ class TestBlasThreads:
         monkeypatch.setattr(numcore, "_openblas_thread_calls", lambda: None)
         with blas_threads(1) as pinned:
             assert pinned is False
+
+
+def _one_blas_thread():
+    """Hold BLAS at 1 thread, where the helper thread may run; skip elsewhere."""
+    calls = numcore._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("this numpy's BLAS thread count cannot be set at run time")
+    return blas_threads(1)
+
+
+def _kernel_products(embedding, units, gates, rng):
+    """(a, b, new_out) of each product the batch kernel sends through
+    matmul_for, at one preset's widths and one cell's gate count; new_out()
+    gives a fresh output array of the kernel's layout, or None."""
+    h, e, vocab = units, embedding, 40
+    w_full = rng.normal(size=(gates * h, h + e))  # an LSTM weight block acts on [h; x]
+    wt = rng.normal(size=(h, gates * h))
+    def rows_of(rows, cols):  # a block of rows of a larger array, like the tape's
+        return lambda: np.empty((rows + 3, cols))[2 : 2 + rows]
+
+    def strided(rows, cols):  # an LSTM weight gradient's view w[:, h:]
+        return lambda: np.empty((rows, h + cols))[:, h:]
+
+    cases = [(rng.normal(size=(vocab, e)), rng.normal(size=(h, e)).T, None)]  # E . U^T
+    for rows in (1, 2, 3, 4, 5, 32, 160):
+        d_gates = rng.normal(size=(rows, gates * h))
+        cases += [
+            (rng.normal(size=(rows, h)), wt, rows_of(rows, gates * h)),
+            (d_gates[:, h : 2 * h], rng.normal(size=(h, h)), None),  # strided a
+            (d_gates[:, :h], w_full[:h, :h], None),  # strided a and b
+        ]
+    for tokens in (7, 380):
+        part = rng.normal(size=(tokens, gates * h))[:, h : 2 * h]
+        cases += [
+            (part.T, rng.normal(size=(tokens, h)), lambda: np.empty((h, h))),
+            (part.T, rng.normal(size=(tokens, e)), strided(h, e)),
+            (rng.normal(size=(vocab, h)).T, rng.normal(size=(vocab, e)), None),
+        ]
+    return cases
+
+
+def _same_call(a, b, new_out, mm):
+    """mm(a, b, out=new_out()), as a contiguous copy."""
+    return np.array(mm(a, b, out=None if new_out is None else new_out()))
+
+
+class TestSplitMatmul:
+    @pytest.mark.parametrize("embedding,units", [(64, 256), (128, 64), (2048, 1024)])
+    def test_equals_matmul_bit_for_bit_at_the_preset_products(self, embedding, units):
+        rng = np.random.default_rng(units)
+        split = 0
+        with _one_blas_thread():
+            for gates in (2, 3):  # GRU z|r, LSTM f|i|o
+                for a, b, out in _kernel_products(embedding, units, gates, rng):
+                    assert out is None or out().shape == (a.shape[0], b.shape[1])
+                    whole = _same_call(a, b, out, np.matmul)
+                    split += numcore._column_cut(a.shape[0], a.shape[1], b.shape[1]) is not None
+                    helper = numcore.matmul_for(*a.shape, b.shape[1])
+                    np.testing.assert_array_equal(_same_call(a, b, out, helper), whole)
+                    with numcore.helper_off():
+                        serial = functools.partial(numcore._split_matmul, None)
+                        np.testing.assert_array_equal(_same_call(a, b, out, serial), whole)
+        assert split > 0 if units >= 256 else split == 0
+
+    @pytest.mark.parametrize("rows,inner,cols,cut", [
+        (15, 256, 512, None),  # one row short of SPLIT_MIN multiply-adds per block
+        (16, 256, 512, 256),
+        (17, 256, 512, 256),
+        (3, 1024, 512, None),
+        (4, 1024, 512, 256),
+        (4, 1024, 768, 256),  # blocks of 256 and 512 columns
+        (4, 1024, 1280, 512),
+        (64, 1024, 256, None),  # one block of 256 columns cannot split
+        (64, 1024, 640, None),  # not a multiple of 256 columns
+        (2, 1024, 2048, 1024),
+    ])
+    def test_splits_on_fixed_multiples_of_256_columns(self, rows, inner, cols, cut):
+        assert numcore._column_cut(rows, inner, cols) == cut
+        rng = np.random.default_rng(rows * cols)
+        a, b = rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
+        with _one_blas_thread():
+            mm = functools.partial(numcore._split_matmul, numcore._usable_helper())
+            np.testing.assert_array_equal(mm(a, b), a @ b)
+
+    def test_small_shapes_get_plain_matmul(self):
+        assert numcore.matmul_for(32, 64, 128) is np.matmul  # singular and search presets
+        assert numcore.matmul_for(512, 64, 128) is np.matmul  # evaluate's 512-row chunks
+
+
+class TestRunSplit:
+    def test_part_0_runs_in_the_helper_only_where_allowed(self, monkeypatch):
+        here = threading.get_ident()
+
+        def threads():
+            return numcore.run_split(lambda _: threading.get_ident(), [0, 1])
+
+        with _one_blas_thread():
+            if len(os.sched_getaffinity(0)) >= 2:
+                first, second = threads()
+                assert first != here and second == here
+            with numcore.helper_off():
+                assert threads() == [here, here]
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert threads() == [here, here]
+        with blas_threads(2):
+            monkeypatch.undo()
+            assert threads() == [here, here]  # a threaded BLAS already uses the CPUs
+
+    def test_an_error_in_either_part_reaches_the_caller(self):
+        def fail_on(bad):
+            def work(part):
+                if part == bad:
+                    raise KeyError(part)
+                return part
+            return work
+
+        with _one_blas_thread():
+            for bad in (0, 1):
+                with pytest.raises(KeyError):
+                    numcore.run_split(fail_on(bad), [0, 1])
+            assert numcore.run_split(fail_on(None), [0, 1]) == [0, 1]  # still serving
+
+    def test_concurrent_callers_each_get_their_own_results(self):
+        """More calling threads than CPUs share the one helper thread."""
+        failures = []
+
+        def caller(tag):
+            for i in range(200):
+                got = numcore.run_split(lambda part: (tag, i, part), ["a", "b"])
+                if got != [(tag, i, "a"), (tag, i, "b")]:
+                    failures.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _one_blas_thread():
+                callers = [threading.Thread(target=caller, args=(tag,)) for tag in range(4)]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert failures == []
+
+    def test_row_and_tensor_halves_split_only_from_split_min_elements(self):
+        small = {"a": np.zeros((3, 4)), "b": np.zeros(5)}
+        assert numcore.row_halves(small) == [[("a", slice(None)), ("b", slice(None))]]
+        assert numcore.tensor_halves(small) == [["a", "b"]]
+        big = {"w": np.zeros((1024, 1024)), "b": np.zeros(3), "u": np.zeros((1024, 512))}
+        assert numcore.row_halves(big) == [
+            [("w", slice(None, 512)), ("b", slice(None, 1)), ("u", slice(None, 512))],
+            [("w", slice(512, None)), ("b", slice(1, None)), ("u", slice(512, None))],
+        ]
+        assert numcore.tensor_halves(big) == [["w"], ["b", "u"]]

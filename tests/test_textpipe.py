@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -380,6 +381,21 @@ class TestEncoding:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             encode([], self.vocab())
+
+    @pytest.mark.parametrize("ids,expected", [
+        (np.array([3, 4, 2]), (3, 4, 2)),
+        ((np.int32(3), 4, True), (3, 4, 1)),
+        ([3, 4], (3, 4)),
+    ])
+    def test_int_like_ids_become_a_tuple_of_plain_ints(self, ids, expected):
+        seq = EncodedSequence(ids=ids)
+        assert seq.ids == expected
+        assert type(seq.ids) is tuple and {type(i) for i in seq.ids} == {int}
+
+    def test_a_tuple_of_ints_is_kept_as_is(self):
+        ids = (3, 4, 2)
+        assert EncodedSequence(ids=ids).ids is ids
+        assert type(encode([Token("a", "NN")], self.vocab()).ids) is tuple
 
     def test_pad_never_inside_sequence(self):
         with pytest.raises(StructuralError):

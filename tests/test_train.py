@@ -8,7 +8,7 @@ import pytest
 
 import reqqual.train as train_mod
 from reqqual.errors import ParameterError, TrainingError
-from reqqual.numcore import Rng
+from reqqual.numcore import SPLIT_MIN, Rng, blas_threads, row_halves, tensor_halves
 from reqqual.nn import CellType, ModelConfig, ParameterSet
 from reqqual.textpipe import EncodedSequence
 from reqqual.train import (
@@ -123,8 +123,18 @@ class TestAdam:
             adam_update(params, {"theta": np.array([np.nan])}, state,
                         TrainConfig(learning_rate=0.1, epochs=1))
 
-    @pytest.mark.parametrize("shape", [(3 * train_mod.ADAM_SLICE + 5,), (700, 100)],
-                             ids=["vector", "matrix"])
+    def test_nonfinite_gradient_changes_no_parameter(self):
+        params = SimpleNamespace(arrays={"a": np.ones(3), "b": np.ones(2)})
+        state = AdamState(m={n: np.zeros(3 - i) for i, n in enumerate("ab")},
+                          v={n: np.zeros(3 - i) for i, n in enumerate("ab")})
+        with pytest.raises(TrainingError, match="'b'"):
+            adam_update(params, {"a": np.ones(3), "b": np.array([1.0, np.inf])}, state,
+                        TrainConfig(learning_rate=0.1, epochs=1))
+        assert params.arrays["a"].tolist() == [1.0, 1.0, 1.0]
+        assert state.t == 0
+
+    @pytest.mark.parametrize("shape", [(3 * train_mod.ADAM_SLICE + 5,), (700, 100), (1031, 1024)],
+                             ids=["vector", "matrix", "split-in-halves"])
     def test_sliced_update_equals_whole_tensor_formula(self, shape):
         rng = np.random.default_rng(9)
         theta = rng.normal(size=shape)
@@ -135,13 +145,15 @@ class TestAdam:
         m, v = np.zeros(shape), np.zeros(shape)
         for t in (1, 2, 3):
             g = rng.normal(size=shape)
-            adam_update(params, {"theta": g}, state, cfg)
+            with blas_threads(1):  # where the helper thread may take a half
+                adam_update(params, {"theta": g}, state, cfg)
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
             theta -= cfg.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
         assert theta.size > train_mod.ADAM_SLICE
+        assert len(row_halves(params.arrays)) == (2 if theta.size >= SPLIT_MIN else 1)
         np.testing.assert_array_equal(params.arrays["theta"], theta)
         np.testing.assert_array_equal(state.m["theta"], m)
         np.testing.assert_array_equal(state.v["theta"], v)
@@ -185,6 +197,22 @@ class TestClipping:
         assert gradient_norm(grads) <= 1.5 + 1e-12
         cosine = before @ after / (np.linalg.norm(before) * np.linalg.norm(after))
         assert abs(cosine - 1.0) <= 1e-12
+
+    def test_split_norm_clip_and_mean_equal_the_whole_tensor_formulas(self):
+        rng = np.random.default_rng(2)
+        shapes = {"e": (40, 2048), "u": (1024, 512), "w": (512, 1024), "b": (2,)}
+        # spread over 8 decades, so another summation order shows in the norm
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, size=shape)
+                 for name, shape in shapes.items()}
+        assert len(tensor_halves(grads)) == len(row_halves(grads)) == 2
+        expected = {name: g / 32 for name, g in grads.items()}
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in expected.values()))
+        with blas_threads(1):
+            train_mod._scale_gradients(grads, np.true_divide, 32)
+            assert gradient_norm(grads) == norm
+            clip_gradients(grads, norm / 3)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, expected[name] * ((norm / 3) / norm), err_msg=name)
 
     def test_invalid_norm(self):
         with pytest.raises(ParameterError):
