@@ -15,7 +15,7 @@ sums in another order: :func:`blas_threads` pins it where numpy's bundled
 OpenBLAS allows.
 
 Large work is split in two on boundaries that depend only on its shape
-(:func:`matmul_for`, :func:`row_halves`, :func:`tensor_halves`), and
+(:func:`matmul_for`, :func:`row_halves`), and
 :func:`run_split` runs the first part in one helper thread while the
 calling thread runs the second.  Each part makes the same numpy calls
 either way, so results do not depend on whether the helper ran.
@@ -167,10 +167,10 @@ def _usable_helper() -> _Helper | None:
     """The helper thread, or None unless >= 2 CPUs are usable and BLAS runs
     at 1 thread (a threaded BLAS already uses the CPUs)."""
     global _helper
-    if not _helper_allowed or len(os.sched_getaffinity(0)) < 2:
+    if not _helper_allowed:
         return None
-    calls = _openblas_thread_calls()
-    if calls is None or calls[0]() != 1:
+    calls = _openblas_thread_calls()  # None off Linux, which has no sched_getaffinity
+    if calls is None or calls[0]() != 1 or len(os.sched_getaffinity(0)) < 2:
         return None
     if _helper is None:
         _helper = _Helper()
@@ -246,20 +246,6 @@ def row_halves(arrays: Mapping[str, np.ndarray]) -> list[list[tuple[str, slice]]
     halves = [(name, len(a) // 2) for name, a in arrays.items()]
     return [[(name, slice(None, mid)) for name, mid in halves],
             [(name, slice(mid, None)) for name, mid in halves]]
-
-
-def tensor_halves(arrays: Mapping[str, np.ndarray]) -> list[list[str]]:
-    """Names of `arrays` in two parts of about equal size (each array goes
-    to the smaller part so far) when they hold SPLIT_MIN elements in all,
-    else in one part.  For work that must see each array whole."""
-    if sum(a.size for a in arrays.values()) < SPLIT_MIN:
-        return [list(arrays)]
-    parts, sizes = ([], []), [0, 0]
-    for name, a in arrays.items():
-        i = 0 if sizes[0] <= sizes[1] else 1
-        parts[i].append(name)
-        sizes[i] += a.size
-    return list(parts)
 
 
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

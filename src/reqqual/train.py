@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, TrainingError
-from .numcore import Rng, row_halves, run_split, tensor_halves
+from .numcore import Rng, row_halves, run_split
 from .nn import (
     ModelConfig,
     ParameterSet,
@@ -130,30 +130,7 @@ def adam_update(
 
 
 def gradient_norm(grads: dict[str, np.ndarray]) -> float:
-    """Global L2 norm: one sum of squares per tensor, added in `grads` order.
-
-    Large sets run as two parts of whole tensors (numcore.tensor_halves).
-    Each part squares into one buffer allocated here: buffers the helper
-    thread allocated itself stayed in its malloc arena and added 25 MB to
-    the peak RSS of an appropriate-preset fit.
-    """
-    parts = tensor_halves(grads)
-    if len(parts) == 1:  # small: a plain loop, the same sums
-        return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    buffers = [np.empty(max((grads[n].size for n in names), default=0)) for names in parts]
-
-    def sums(i):
-        out = {}
-        for n in parts[i]:
-            g = grads[n]
-            squares = np.multiply(g, g, out=buffers[i][: g.size].reshape(g.shape))
-            out[n] = float(np.sum(squares))
-        return out
-
-    totals = {}
-    for part in run_split(sums, range(len(parts))):
-        totals.update(part)
-    return math.sqrt(sum(totals[name] for name in grads))
+    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
 
 
 def _scale_gradients(grads: dict[str, np.ndarray], ufunc, value: float) -> None:

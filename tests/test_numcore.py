@@ -321,13 +321,23 @@ class TestRunSplit:
         assert not any(thread.is_alive() for thread in callers)
         assert failures == []
 
-    def test_row_and_tensor_halves_split_only_from_split_min_elements(self):
+    def test_without_openblas_or_sched_getaffinity_the_caller_runs_every_part(self, monkeypatch):
+        """As on macOS and Windows: no bundled OpenBLAS, no os.sched_getaffinity."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(numcore, "_openblas_thread_calls", lambda: None)
+        here = threading.get_ident()
+        assert numcore.run_split(lambda _: threading.get_ident(), [0, 1]) == [here, here]
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(32, 1024)), rng.normal(size=(1024, 512))
+        mm = numcore.matmul_for(*a.shape, b.shape[1])
+        assert mm is not np.matmul  # above the threshold: split, in this thread
+        np.testing.assert_array_equal(mm(a, b), np.hstack([a @ b[:, :256], a @ b[:, 256:]]))
+
+    def test_row_halves_split_only_from_split_min_elements(self):
         small = {"a": np.zeros((3, 4)), "b": np.zeros(5)}
         assert numcore.row_halves(small) == [[("a", slice(None)), ("b", slice(None))]]
-        assert numcore.tensor_halves(small) == [["a", "b"]]
         big = {"w": np.zeros((1024, 1024)), "b": np.zeros(3), "u": np.zeros((1024, 512))}
         assert numcore.row_halves(big) == [
             [("w", slice(None, 512)), ("b", slice(None, 1)), ("u", slice(None, 512))],
             [("w", slice(512, None)), ("b", slice(1, None)), ("u", slice(512, None))],
         ]
-        assert numcore.tensor_halves(big) == [["w"], ["b", "u"]]
