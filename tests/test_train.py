@@ -1,11 +1,18 @@
 """Optimizer, loss, clipping, fit determinism, and gradient-check tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reqqual
 import reqqual.train as train_mod
 from reqqual.errors import ParameterError, TrainingError
 from reqqual.numcore import SPLIT_MIN, Rng, blas_threads, row_halves
@@ -151,12 +158,55 @@ class TestAdam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            theta -= cfg.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            c2_root = math.sqrt(1.0 - b2**t)
+            theta -= m / (np.sqrt(v) + eps * c2_root) * (cfg.learning_rate * c2_root / (1.0 - b1**t))
         assert theta.size > train_mod.ADAM_SLICE
         assert len(row_halves(params.arrays)) == (2 if theta.size >= SPLIT_MIN else 1)
         np.testing.assert_array_equal(params.arrays["theta"], theta)
         np.testing.assert_array_equal(state.m["theta"], m)
         np.testing.assert_array_equal(state.v["theta"], v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.one_of(st.tuples(st.integers(1, 40)),
+                        st.tuples(st.integers(1, 80), st.integers(1, 700))),
+        steps=st.integers(1, 50),
+        scale_exp=st.floats(-8, 8),
+        tiny=st.booleans(),
+        lr=st.sampled_from([1e-4, 1e-3, 0.01, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_step_equals_the_textbook_rule(self, shape, steps, scale_exp, tiny, lr, seed):
+        """The folded form against lr * m_hat / (sqrt(v_hat) + eps), step by
+        step, within 1e-12 relative; `tiny` makes some entries' v about 1e-60,
+        where eps dominates the denominator."""
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(learning_rate=lr, epochs=1)
+        b1, b2, eps = train_mod.ADAM_BETA1, train_mod.ADAM_BETA2, train_mod.ADAM_EPSILON
+        params = SimpleNamespace(arrays={"theta": np.zeros(shape)})
+        state = AdamState(m={"theta": np.zeros(shape)}, v={"theta": np.zeros(shape)})
+        damp = np.where(rng.random(shape) < 0.5, 1e-30, 1.0) if tiny else 1.0
+        m, v = np.zeros(shape), np.zeros(shape)
+        for t in range(1, steps + 1):
+            g = rng.normal(size=shape) * 10.0**scale_exp * damp
+            params.arrays["theta"][...] = 0.0  # so theta after the call is minus the step
+            adam_update(params, {"theta": g}, state, cfg)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            textbook = lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            np.testing.assert_allclose(-params.arrays["theta"], textbook, rtol=1e-12, atol=0,
+                                       err_msg=f"step {t}")
+
+    def test_directly_built_state_gets_its_own_scratch(self):
+        params, state = scalar_setup(theta=0.0)
+        assert state.scratch == []
+        cfg = TrainConfig(learning_rate=0.001, epochs=1)
+        adam_update(params, {"theta": np.ones(1)}, state, cfg)
+        assert [s.shape for s in state.scratch] == [(1,)]
+        other_params, other = scalar_setup(theta=0.0)
+        adam_update(other_params, {"theta": np.ones(1)}, other, cfg)
+        assert not np.shares_memory(state.scratch[0], other.scratch[0])
+        assert params.arrays["theta"][0] == other_params.arrays["theta"][0] < 0
 
     def test_bias_correction_against_manual_two_steps(self):
         params, state = scalar_setup(theta=0.0)
@@ -206,13 +256,29 @@ class TestClipping:
                  for name, shape in shapes.items()}
         assert len(row_halves(grads)) == 2
         expected = {name: g / 32 for name, g in grads.items()}
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in expected.values()))
-        with blas_threads(1):
+        with blas_threads(1):  # a threaded BLAS dot sums in another order
+            norm = math.sqrt(sum(float(np.vdot(g, g)) for g in expected.values()))
             train_mod._scale_gradients(grads, np.true_divide, 32)
             assert gradient_norm(grads) == norm
             clip_gradients(grads, norm / 3)
         for name, g in grads.items():
             np.testing.assert_array_equal(g, expected[name] * ((norm / 3) / norm), err_msg=name)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.lists(st.one_of(st.tuples(st.integers(0, 20_000)),
+                                  st.tuples(st.integers(1, 60), st.integers(1, 400))),
+                        min_size=1, max_size=4),
+        exps=st.tuples(st.floats(-140, 140), st.floats(-140, 140)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_norm_equals_the_sum_of_squares(self, shapes, exps, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(exps)
+        grads = {f"p{i}": rng.normal(size=shape) * 10.0 ** rng.uniform(lo, hi, size=shape)
+                 for i, shape in enumerate(shapes)}
+        expected = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        assert math.isclose(gradient_norm(grads), expected, rel_tol=1e-12, abs_tol=0.0)
 
     def test_invalid_norm(self):
         with pytest.raises(ParameterError):
@@ -319,6 +385,95 @@ class TestFit:
         monkeypatch.setattr(train_mod, "forward_batch", poisoned)
         with pytest.raises(TrainingError, match="epoch 1, batch 1"):
             fit(toy_data(8), gru_config(), TrainConfig(learning_rate=0.01, epochs=1, seed=0))
+
+    @pytest.mark.parametrize("bad, clip_norm, clips", [
+        (np.inf, 5.0, True),  # the norm is inf, so clipping scales every gradient
+        (np.nan, 5.0, False),  # a NaN norm compares false: clipping does not fire
+        (np.inf, None, False),
+    ], ids=["inf-clipped", "nan-not-clipped", "inf-no-clipping"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0
+    def test_nonfinite_gradient_aborts_before_any_parameter_changes(
+        self, monkeypatch, bad, clip_norm, clips
+    ):
+        real_backward, real_scale = train_mod.backward_batch, train_mod._scale_gradients
+        live, before, scaled_by = [], {}, []
+
+        def poisoned(trace, labels, params, out=None):
+            live.append(params)
+            before.update({name: a.copy() for name, a in params.arrays.items()})
+            grads = real_backward(trace, labels, params, out=out)
+            grads["layer0.wr"][1, 2] = bad
+            return grads
+
+        def spy(grads, ufunc, value):
+            scaled_by.append(ufunc)
+            real_scale(grads, ufunc, value)
+
+        monkeypatch.setattr(train_mod, "backward_batch", poisoned)
+        monkeypatch.setattr(train_mod, "_scale_gradients", spy)
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, clip_norm=clip_norm, seed=0)
+        with pytest.raises(TrainingError, match="'layer0.wr'"):
+            fit(toy_data(8), gru_config(), cfg)
+        assert (np.multiply in scaled_by) == clips
+        assert len(live) == 1  # the first batch raised
+        for name, a in live[0].arrays.items():
+            np.testing.assert_array_equal(a, before[name], err_msg=name)
+
+
+_FIT_SHAPES = {  # the large one has two row halves in Adam, the small one one part
+    "small": dict(n=8, h=16),
+    "large": dict(n=512, h=512),
+}
+_FIT_DIGEST = """
+import hashlib
+from reqqual.nn import CellType, ModelConfig
+from reqqual.numcore import blas_threads
+from reqqual.train import TrainConfig, fit
+
+def digest(n, h):
+    data = [((2 + i % 3, 3, 4, 2 + i % 2), i % 2) for i in range(16)]
+    config = ModelConfig(cell=CellType.GRU, vocab_size=5, embedding_dim=n, hidden_units=h)
+    with blas_threads(1):
+        params, curve = fit(data, config, TrainConfig(learning_rate=0.01, epochs=2,
+                                                      batch_size=8, seed=4))
+    out = hashlib.sha256(repr(curve).encode())
+    for name, a in params.arrays.items():
+        out.update(name.encode() + a.tobytes())
+    return out.hexdigest()
+"""
+
+
+class TestAdamScratch:
+    def test_no_scratch_lives_at_module_level(self):
+        def arrays_at_module_level():
+            def holds_array(value):
+                if isinstance(value, dict):
+                    value = list(value.values())
+                if isinstance(value, (list, tuple)):
+                    return any(isinstance(x, np.ndarray) for x in value)
+                return isinstance(value, np.ndarray)
+
+            return sorted(name for name, value in vars(train_mod).items() if holds_array(value))
+
+        assert arrays_at_module_level() == []
+        fit(toy_data(8), gru_config(), TrainConfig(learning_rate=0.01, epochs=1, seed=0))
+        assert arrays_at_module_level() == []
+
+    def test_fits_of_two_shapes_in_one_process_equal_fresh_processes(self):
+        scope: dict = {}
+        exec(_FIT_DIGEST, scope)
+        in_process = [(name, scope["digest"](**_FIT_SHAPES[name]))
+                      for name in ("small", "large", "small")]
+        src = str(Path(reqqual.__file__).parents[1])
+        fresh = {}
+        for name, shape in _FIT_SHAPES.items():
+            done = subprocess.run([sys.executable, "-c", _FIT_DIGEST + f"print(digest(**{shape!r}))"],
+                                  env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            fresh[name] = done.stdout.strip()
+        for name, got in in_process:
+            assert got == fresh[name], name
 
 
 class TestGradientCheck:
